@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race race-par bench bench-json bench-diff fuzz replay saexp chaos chaos-warm chaos-par scenarios shard-smoke cover trace-demo profile
+.PHONY: check build vet lint test race bench bench-json bench-diff fuzz replay saexp chaos chaos-warm scenarios shard-smoke cover trace-demo profile
 
 # -benchtime for bench/bench-json; set BENCHTIME=1x for a smoke run.
 BENCHTIME ?= 1s
@@ -24,19 +24,19 @@ vet:
 #  - the retired sim.StatsSink global must not come back (per-engine close
 #    hooks replaced it);
 #  - concurrency in internal/sim is restricted to the audited files — the
-#    coroutine hand-off, the goroutine pool, and the PDES engine's LP
-#    protocol; a goroutine or channel anywhere else is a design violation
-#    (TestSimConcurrencyIsAudited enforces the same rule from inside).
+#    coroutine hand-off and the goroutine pool; a goroutine or channel
+#    anywhere else is a design violation (TestSimConcurrencyIsAudited
+#    enforces the same rule from inside).
 lint: vet
-	@if grep -rn --include='*.go' -E 'sim\.(SeqEngine|ParEngine|ReplayEngine)\b' --exclude-dir=sim .; then \
+	@if grep -rn --include='*.go' -E 'sim\.(SeqEngine|ReplayEngine)\b' --exclude-dir=sim .; then \
 		echo "lint: concrete engine type referenced outside internal/sim (hold sim.Engine instead)"; exit 1; \
 	fi
 	@if grep -rn --include='*.go' 'sim\.StatsSink' .; then \
 		echo "lint: retired sim.StatsSink referenced (use per-engine close hooks / exp.SetStatsSink)"; exit 1; \
 	fi
 	@if grep -ln --include='*.go' -E 'go func|make\(chan' internal/sim/*.go \
-		| grep -v -E '_test\.go|/(coroutine|pool|lp|par)\.go'; then \
-		echo "lint: unaudited concurrency in internal/sim (allowed only in coroutine.go, pool.go, lp.go, par.go)"; exit 1; \
+		| grep -v -E '_test\.go|/(coroutine|pool)\.go'; then \
+		echo "lint: unaudited concurrency in internal/sim (allowed only in coroutine.go, pool.go)"; exit 1; \
 	fi
 	@echo "lint: ok"
 
@@ -48,14 +48,6 @@ test:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/fleet/...
 	$(GO) test -race -run 'TestParallelSweepMatchesSequential|TestChaosSweepShort|TestWarmContext|TestChaosSweepCheckpointResume' ./internal/exp/
-
-# PDES-engine race job: the par oracle battery plus real chaos workloads
-# driven through the LP protocol under the race detector. Separate from
-# `race` so CI can parallelize it and so a PDES regression is attributed
-# immediately.
-race-par:
-	$(GO) test -race -run 'TestPar|FuzzParVsSeqOracle' ./internal/sim/
-	SCHEDACT_PAR_SEEDS=8 $(GO) test -race -run 'TestParEngineMatchesReference|TestGoldenTracesPar' -count=1 ./internal/exp/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) . ./internal/...
@@ -81,7 +73,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEventHeapOps -fuzztime 15s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzWheelVsHeapOracle -fuzztime 15s -fuzzminimizetime 5s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzPooledVsUnpooled -fuzztime 15s -fuzzminimizetime 5s ./internal/sim/
-	$(GO) test -run xxx -fuzz FuzzParVsSeqOracle -fuzztime 15s -fuzzminimizetime 5s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzEngineReset -fuzztime 15s -fuzzminimizetime 5s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzUpcallDowncall -fuzztime 15s ./internal/core/
 
@@ -108,13 +99,6 @@ chaos-warm:
 # re-executed on the tape-driven replay engine, fingerprints compared.
 replay:
 	SCHEDACT_REPLAY_SEEDS=64 $(GO) test -run TestReplayEngineMatchesReference -count=1 ./internal/exp/
-
-# PDES pin: every sweep seed run on the reference engine and again on the
-# conservative PDES engine (LP count varying by seed), fingerprints compared
-# byte-for-byte; plus the full sweep driven end-to-end through saexp.
-chaos-par:
-	SCHEDACT_PAR_SEEDS=64 $(GO) test -run TestParEngineMatchesReference -count=1 ./internal/exp/
-	$(GO) run ./cmd/saexp -chaos -seeds 64 -engine par
 
 # Scenario-layer gate: the whole spec pipeline (strict parsing, validation
 # paths, round-trip, resume keys, compile orderings, checkpoint envelope),

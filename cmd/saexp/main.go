@@ -50,13 +50,11 @@
 // -first-seed resumes after the seeds already done (growing -seeds extends a
 // finished sweep).
 //
-// Chaos mode exits nonzero if any seed fails, so it can gate CI.
+// Chaos mode exits nonzero if any seed fails, so it can gate CI. It is the
+// built-in chaos spec with the seed range taken from -first-seed/-seeds.
 //
-// Any mode can swap the per-run simulation engine; results are byte-identical,
-// only host wall-clock changes:
-//
-//	saexp -exp fig2 -engine par -lps 4   # conservative PDES engine, 4 LPs per run
-//	saexp -chaos -engine par             # the 64-seed sweep through the PDES engine
+// A flag the selected mode would ignore (say -seeds with -scenario, or -csv
+// with -exp table1) is an error, not a silent no-op.
 //
 // Any invocation can be profiled with the standard runtime/pprof writers
 // (`make profile` wraps the chaos-sweep capture):
@@ -72,6 +70,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 
 	"schedact/internal/core"
@@ -103,34 +103,38 @@ func run() int {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "results between checkpoint writes with -checkpoint (0 = default 16; shard drivers lower it so a killed shard loses less progress)")
 	list := flag.Bool("list", false, "list the built-in scenarios and experiments, one line each, and exit")
 	ablate := flag.String("ablate", "", "run one deliberately broken kernel under the auditor: nogrant or dropevent (with -chaos)")
-	workers := flag.Int("workers", 0, "parallel run pool width for sweeps and experiment batteries (1 = sequential; 0 = auto: one per CPU, divided by the per-run goroutine count with -engine par)")
-	engine := flag.String("engine", "seq", "simulation engine per run: seq (reference sequential) or par (conservative PDES; byte-identical results, queue work spread over -lps goroutines)")
-	lps := flag.Int("lps", 2, "logical processes per run with -engine par")
+	workers := flag.Int("workers", 0, "parallel run pool width for sweeps and experiment batteries (1 = sequential; 0 = auto: one per CPU)")
 	traceOut := flag.String("trace-out", "", "with -exp fig1: run the traced Figure 1 smoke configuration and write Chrome trace_event JSON to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation heap profile to this file at exit (go tool pprof)")
 	flag.Parse()
 
-	switch *engine {
-	case "seq":
-	case "par":
-		if *lps < 1 {
-			fmt.Fprintf(os.Stderr, "-lps %d: need at least one logical process\n", *lps)
-			return 2
-		}
-		exp.EngineLPs = *lps
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q (want seq or par)\n", *engine)
+	// The mode, in the precedence order the dispatch below follows.
+	mode := modeExp
+	switch {
+	case *traceOut != "":
+		mode = modeTraceOut
+	case *list:
+		mode = modeList
+	case *mergeMode:
+		mode = modeMerge
+	case *shardExec > 0 || *scenarioSrc != "":
+		mode = modeScenario
+	case *chaosMode:
+		mode = modeChaos
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, mode, *which); err != nil {
+		fmt.Fprintf(os.Stderr, "saexp: %v\n", err)
 		return 2
 	}
+
 	// Scenario mode resolves its own width (explicit flag > spec hint >
 	// auto), so remember whether -workers was explicit before normalizing.
 	rawWorkers := *workers
 	if *workers <= 0 {
-		// Fleet-level and intra-run parallelism multiply: with the PDES
-		// engine each run occupies 1 driver + lps LP goroutines, so divide
-		// the cores instead of oversubscribing them.
-		*workers = fleet.WorkersFor(1 + exp.EngineLPs)
+		*workers = fleet.DefaultWorkers()
 	}
 	exp.Workers = *workers
 
@@ -191,8 +195,6 @@ func run() int {
 			checkpoint: *checkpoint,
 			results:    *results,
 			workers:    rawWorkers,
-			engine:     *engine,
-			lps:        *lps,
 			parallel:   *shardParallel,
 			every:      *checkpointEvery,
 		})
@@ -207,7 +209,11 @@ func run() int {
 	}
 
 	if *chaosMode {
-		return runChaos(*seeds, *firstSeed, *workers, *ablate, *checkpoint)
+		return runChaos(*seeds, *firstSeed, *ablate, exp.RunOptions{
+			Workers:         *workers,
+			Checkpoint:      *checkpoint,
+			CheckpointEvery: *checkpointEvery,
+		})
 	}
 
 	out := os.Stdout
@@ -420,16 +426,16 @@ func runScenario(src, shard string, opt exp.RunOptions) int {
 
 // runChaos executes the chaos sweep (or a single ablated demonstration run)
 // and returns the process exit code: 0 only if every seed passed.
-func runChaos(seeds, first int64, workers int, ablate, checkpoint string) int {
+func runChaos(seeds, first int64, ablate string, opt exp.RunOptions) int {
 	out := os.Stdout
 	switch ablate {
 	case "":
-		ag, err := exp.ChaosSweepOpts(out, first, seeds, exp.SweepOptions{Workers: workers, Checkpoint: checkpoint})
+		pr, err := exp.RunSpec(out, scenario.ChaosSpec(first, seeds), opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		if ag.Failed > 0 {
+		if pr.Sweep.Failed > 0 {
 			return 1
 		}
 		return 0
@@ -456,4 +462,47 @@ func runChaos(seeds, first int64, workers int, ablate, checkpoint string) int {
 		fmt.Fprintf(os.Stderr, "unknown ablation %q (want nogrant or dropevent)\n", ablate)
 		return 2
 	}
+}
+
+// Invocation modes, one per dispatch branch of run.
+const (
+	modeExp      = "-exp"
+	modeTraceOut = "-trace-out"
+	modeList     = "-list"
+	modeMerge    = "-merge"
+	modeScenario = "-scenario"
+	modeChaos    = "-chaos"
+)
+
+// flagModes lists the flags that only some modes read, with those modes.
+var flagModes = []struct {
+	flag  string
+	modes []string
+}{
+	{"seeds", []string{modeChaos}},
+	{"first-seed", []string{modeChaos}},
+	{"first", []string{modeChaos}},
+	{"ablate", []string{modeChaos}},
+	{"checkpoint", []string{modeChaos, modeScenario}},
+	{"checkpoint-every", []string{modeChaos, modeScenario}},
+	{"shard", []string{modeScenario}},
+	{"results", []string{modeScenario}},
+}
+
+// checkFlags rejects an explicitly set flag (set holds the names flag.Visit
+// reports) that the selected mode would ignore; which is the -exp value.
+func checkFlags(set map[string]bool, mode, which string) error {
+	got := mode
+	if mode == modeExp {
+		got = "-exp " + which
+	}
+	for _, r := range flagModes {
+		if set[r.flag] && !slices.Contains(r.modes, mode) {
+			return fmt.Errorf("-%s applies only to %s, not %s", r.flag, strings.Join(r.modes, " or "), got)
+		}
+	}
+	if set["csv"] && got != "-exp fig1" && got != "-exp fig2" {
+		return fmt.Errorf("-csv applies only to -exp fig1 or -exp fig2, not %s", got)
+	}
+	return nil
 }

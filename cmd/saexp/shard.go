@@ -29,10 +29,8 @@ type shardExecOpts struct {
 	checkpoint string // base checkpoint path ("" = temp dir)
 	results    string // base JSONL results path ("" = none)
 	workers    int    // raw -workers (0 = auto-divide across children)
-	engine     string
-	lps        int
-	parallel   int // concurrent children (0 = min(shards, CPUs))
-	every      int // -checkpoint-every passthrough
+	parallel   int    // concurrent children (0 = min(shards, CPUs))
+	every      int    // -checkpoint-every passthrough
 }
 
 // shardRetries is how many times a crashed shard child is re-run (resuming
@@ -96,11 +94,7 @@ func runShardExec(src string, n int, o shardExecOpts) int {
 	// unless the caller pinned -workers explicitly.
 	childWorkers := o.workers
 	if childWorkers <= 0 {
-		perRun := 1
-		if o.engine == "par" {
-			perRun = 1 + o.lps
-		}
-		childWorkers = max(1, fleet.WorkersFor(perRun)/bound)
+		childWorkers = max(1, fleet.DefaultWorkers()/bound)
 	}
 	every := o.every
 	if every == 0 {
@@ -125,8 +119,6 @@ func runShardExec(src string, n int, o shardExecOpts) int {
 			"-checkpoint", ckpt,
 			"-checkpoint-every", fmt.Sprint(every),
 			"-workers", fmt.Sprint(childWorkers),
-			"-engine", o.engine,
-			"-lps", fmt.Sprint(o.lps),
 		}
 		if o.results != "" {
 			args = append(args, "-results", shardSuffix(o.results, i, n))

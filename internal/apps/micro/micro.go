@@ -33,13 +33,6 @@ const Iters = 200
 // hook-free.
 var StatsSink func(label string, reg *stats.Registry)
 
-// EngineOpts, when non-nil, supplies extra construction options for every
-// benchmark engine. The experiment harness installs it to thread its engine
-// selection (exp.EngineLPs → the conservative PDES engine) through to the
-// microbenchmarks; the timeline is identical for any engine, so this only
-// widens what the golden traces and fingerprints cover.
-var EngineOpts func() []sim.Option
-
 // WarmEngine, when non-nil, supplies every benchmark engine instead of
 // fresh construction: the provider hands back a recycled engine already
 // Reset for the given label, and the benchmark leaves it open when done
@@ -49,16 +42,13 @@ var EngineOpts func() []sim.Option
 var WarmEngine func(label string) sim.Engine
 
 // newEngine builds one labelled benchmark engine, wiring the stats-sink
-// close hook when a sink is installed plus any harness-supplied options.
+// close hook when a sink is installed.
 func newEngine(label string) sim.Engine {
 	opts := []sim.Option{sim.WithLabel(label)}
 	if sink := StatsSink; sink != nil {
 		opts = append(opts, sim.OnClose(func(e sim.Engine) {
 			sink(e.Label(), e.Metrics())
 		}))
-	}
-	if extra := EngineOpts; extra != nil {
-		opts = append(opts, extra()...)
 	}
 	return sim.NewEngine(opts...)
 }

@@ -66,25 +66,3 @@ func BenchmarkWarmChaosRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/sec")
 }
-
-// BenchmarkChaosSweepPar is BenchmarkChaosSweep on the conservative PDES
-// engine (2 LPs, production lookahead and affinity): the same seeds, the
-// same byte-identical fingerprints, measured through the partitioned queue
-// and its null-message protocol. Comparing the two benchmarks' seeds/sec
-// and B/op is the honest cost/benefit picture of intra-run parallelism on
-// the current host; bench-smoke's allocation gate watches the B/op column,
-// which must stay flat in b.N (steady-state protocol traffic reuses the LP
-// reply buffers and event records).
-func BenchmarkChaosSweepPar(b *testing.B) {
-	const seedsPer = 4
-	saved := EngineLPs
-	EngineLPs = 2
-	defer func() { EngineLPs = saved }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if failed := ChaosSweep(io.Discard, 1, seedsPer, 1); failed != 0 {
-			b.Fatalf("%d chaos seeds failed", failed)
-		}
-	}
-	b.ReportMetric(float64(seedsPer)*float64(b.N)/b.Elapsed().Seconds(), "seeds/sec")
-}

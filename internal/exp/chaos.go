@@ -128,12 +128,9 @@ func chaosLabel(seed int64) string { return fmt.Sprintf("chaos seed %d", seed) }
 
 // chaosOnce executes one audited, fault-injected mixed workload for seed.
 // pool, when non-nil, supplies warm coroutine goroutines (sim.Pool); it must
-// be owned by the calling worker. The engine honors EngineLPs, so the chaos
-// battery sweeps the PDES engine when saexp -engine=par selects it. The
-// timeline is identical either way.
+// be owned by the calling worker.
 func chaosOnce(pool *sim.Pool, seed int64, mutate func(*core.Kernel)) (chaos.Fingerprint, ChaosResult) {
-	opts := append([]sim.Option{sim.WithLabel(chaosLabel(seed))}, parEngineOpts()...)
-	return chaosOnceOn(pool.NewEngine(opts...), seed, mutate)
+	return chaosOnceOn(pool.NewEngine(sim.WithLabel(chaosLabel(seed))), seed, mutate)
 }
 
 // chaosOnceOn is chaosOnce on a caller-supplied engine — the seam the
@@ -202,19 +199,6 @@ func ReplayChaosSeed(seed int64) (ref, replay chaos.Fingerprint) {
 	ref, _ = chaosOnceOn(eng, seed, nil)
 	replay, _ = chaosOnceOn(sim.NewReplayEngine(rec.Recording(), sim.WithLabel(chaosLabel(seed))), seed, nil)
 	return ref, replay
-}
-
-// ParChaosSeed runs seed once on the reference engine and once on the
-// conservative PDES engine with lps logical processes (calibrated lookahead,
-// subject-hash affinity — the production configuration), and returns both
-// fingerprints. The fingerprint hashes every trace record, the final clock,
-// and the full non-host metrics snapshot, so a match proves the partitioned
-// engine reproduced the reference run byte for byte.
-func ParChaosSeed(seed int64, lps int) (ref, par chaos.Fingerprint) {
-	ref, _ = chaosOnceOn(sim.NewEngine(sim.WithLabel(chaosLabel(seed))), seed, nil)
-	opts := append([]sim.Option{sim.WithLabel(chaosLabel(seed))}, parEngineOptsN(lps)...)
-	par, _ = chaosOnceOn(sim.NewEngine(opts...), seed, nil)
-	return ref, par
 }
 
 // RunChaosSeed runs one seed twice — identical code path both times — and
@@ -286,20 +270,13 @@ type RunContext struct {
 // registration order of a cold run (engine, machine+kernel, auditor,
 // fingerprinter, latency deriver, injector), so the metric names — and with
 // them the fingerprint's final fold — are identical to a cold engine's.
-// The context honors EngineLPs at construction, like every cold run.
-func NewRunContext() *RunContext { return NewRunContextLPs(EngineLPs) }
-
-// NewRunContextLPs is NewRunContext with an explicit LP selection — the seam
-// the scenario runner threads a spec-bound engine through, so concurrent
-// programs never mutate the EngineLPs global.
-func NewRunContextLPs(lps int) *RunContext {
+func NewRunContext() *RunContext {
 	pool := sim.NewPool()
-	opts := append([]sim.Option{sim.WithLabel("chaos warm context")}, parEngineOptsN(lps)...)
 	rc := &RunContext{
-		pool:  pool,
-		eng:   pool.NewEngine(opts...),
-		rng:   rand.New(rand.NewSource(0)),
-		tr:    trace.NewStream(), // observer-only, like the cold path
+		pool: pool,
+		eng:  pool.NewEngine(sim.WithLabel("chaos warm context")),
+		rng:  rand.New(rand.NewSource(0)),
+		tr:   trace.NewStream(), // observer-only, like the cold path
 
 		Storm: chaosStormSteps,
 		Drain: chaosDrainSteps,

@@ -12,7 +12,6 @@ import (
 	"schedact/internal/core"
 	"schedact/internal/fleet"
 	"schedact/internal/kernel"
-	"schedact/internal/machine"
 	"schedact/internal/sim"
 	"schedact/internal/stats"
 	"schedact/internal/trace"
@@ -121,77 +120,24 @@ func SetStatsSink(fn func(label string, reg *stats.Registry)) {
 	micro.StatsSink = fn
 }
 
-// EngineLPs selects the engine the harness constructs for every run: 0 (the
-// default) keeps the reference sequential engine; n >= 1 selects the
-// conservative PDES engine with the run's event queue partitioned across n
-// logical processes (saexp -engine=par). The simulated results — figures,
-// tables, chaos fingerprints — are byte-identical for every value; only
-// host wall-clock changes.
-var EngineLPs int
-
-// The microbenchmarks construct their own engines; route the harness's
-// engine selection through to them (micro cannot import exp).
-func init() { micro.EngineOpts = parEngineOpts }
-
-// SubjectAffinity is the harness's static routing function for the PDES
-// engine: subjects — per-thread timers, per-CPU quanta, per-space daemons —
-// hash to a stable LP, so each simulated entity's far-future events file
-// into the same partition. Subjectless events have no statically known
-// target and route through the shared LP. Routing never affects the
-// timeline (sim.WithAffinity), so the hash needs no quality beyond spread.
-func SubjectAffinity(_ sim.Kind, subject string) int {
-	if subject == "" {
-		return -1
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(subject); i++ {
-		h = (h ^ uint32(subject[i])) * 16777619
-	}
-	return int(h & 0x7fffffff)
-}
-
-// parEngineOpts returns the PDES engine options selected by EngineLPs, or
-// nil for the reference engine.
-func parEngineOpts() []sim.Option { return parEngineOptsN(EngineLPs) }
-
-// parEngineOptsN is parEngineOpts for an explicit LP count. The lookahead
-// comes from the calibrated cost table: the minimum cross-CPU charge is the
-// guaranteed lower bound on cross-LP event latency in the simulated machine.
-func parEngineOptsN(n int) []sim.Option {
-	if n <= 0 {
-		return nil
-	}
-	return []sim.Option{
-		sim.WithLPs(n),
-		sim.WithLookahead(machine.DefaultCosts().CrossLPLookahead()),
-		sim.WithAffinity(SubjectAffinity),
-	}
-}
-
 // engOpts builds the options for one labelled run engine, attaching the
-// stats-sink close hook when a sink is installed and the PDES partition
-// when EngineLPs selects one.
-func engOpts(label string) []sim.Option { return engOptsLPs(label, EngineLPs) }
-
-// engOptsLPs is engOpts for an explicit LP count — the seam the scenario
-// runner threads a spec-bound engine selection through, so concurrent
-// programs never mutate (or race on) the EngineLPs global.
-func engOptsLPs(label string, lps int) []sim.Option {
+// stats-sink close hook when a sink is installed.
+func engOpts(label string) []sim.Option {
 	opts := []sim.Option{sim.WithLabel(label)}
 	if sink := statsSink; sink != nil {
 		opts = append(opts, sim.OnClose(func(e sim.Engine) {
 			sink(e.Label(), e.Metrics())
 		}))
 	}
-	return append(opts, parEngineOptsN(lps)...)
+	return opts
 }
 
 // --- application launchers ---
 
 // seqTime runs the sequential implementation on a cpus-processor machine
 // and returns its execution time.
-func seqTime(cfg nbody.Config, cpus int, limit sim.Time, lps int) sim.Duration {
-	eng := sim.NewEngine(engOptsLPs("sequential", lps)...)
+func seqTime(cfg nbody.Config, cpus int, limit sim.Time) sim.Duration {
+	eng := sim.NewEngine(engOpts("sequential")...)
 	defer eng.Close()
 	k := kernel.New(eng, kernel.Config{CPUs: cpus})
 	StartDaemonNative(k)
@@ -208,13 +154,13 @@ func seqTime(cfg nbody.Config, cpus int, limit sim.Time, lps int) sim.Duration {
 // parallelism (Figure 1's x-axis); the machine always has MachineCPUs
 // processors.
 func launchOne(sys SystemName, cfg nbody.Config, procs int, tr *trace.Log) (eng sim.Engine, run *nbody.Run) {
-	return launchOneIn(nil, sys, cfg, procs, tr, EngineLPs)
+	return launchOneIn(nil, sys, cfg, procs, tr)
 }
 
 // launchOneIn is launchOne with the run's engine drawing coroutine
-// goroutines from pool (nil = unpooled) and an explicit LP selection.
-func launchOneIn(pool *sim.Pool, sys SystemName, cfg nbody.Config, procs int, tr *trace.Log, lps int) (eng sim.Engine, run *nbody.Run) {
-	eng = pool.NewEngine(engOptsLPs(fmt.Sprintf("%s P=%d", sys, procs), lps)...)
+// goroutines from pool (nil = unpooled).
+func launchOneIn(pool *sim.Pool, sys SystemName, cfg nbody.Config, procs int, tr *trace.Log) (eng sim.Engine, run *nbody.Run) {
+	eng = pool.NewEngine(engOpts(fmt.Sprintf("%s P=%d", sys, procs))...)
 	return eng, launchOnEngine(eng, sys, cfg, procs, tr)
 }
 
@@ -294,12 +240,12 @@ func (ps workerPools) Close() {
 
 // runOne executes one application instance to completion and returns its
 // execution time. pool may be nil (unpooled).
-func runOne(pool *sim.Pool, sys SystemName, cfg nbody.Config, procs int, limit sim.Time, lps int) sim.Duration {
+func runOne(pool *sim.Pool, sys SystemName, cfg nbody.Config, procs int, limit sim.Time) sim.Duration {
 	var tr *trace.Log
 	if StatsTrace {
 		tr = trace.New(64)
 	}
-	eng, run := launchOneIn(pool, sys, cfg, procs, tr, lps)
+	eng, run := launchOneIn(pool, sys, cfg, procs, tr)
 	defer eng.Close()
 	if tr != nil {
 		trace.NewLatencies(tr, eng.Metrics())

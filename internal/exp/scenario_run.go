@@ -27,9 +27,8 @@ import (
 // RunOptions parameterizes one program execution.
 type RunOptions struct {
 	// Workers is the fleet pool width; 0 defers to the spec's
-	// limits.workers, then to auto (one per CPU, divided by the per-run
-	// goroutine count under the PDES engine). Results are byte-identical at
-	// any width.
+	// limits.workers, then to auto (one per CPU). Results are
+	// byte-identical at any width.
 	Workers int
 	// Checkpoint, when non-empty, is a JSON progress file keyed by the
 	// spec's resume identity: re-invoking resumes after the jobs already
@@ -79,43 +78,24 @@ func RunSpec(w io.Writer, sp scenario.Spec, opt RunOptions) (*ProgramResult, err
 }
 
 // RunProgram executes a compiled program on the fleet, streaming per-job
-// lines to w (results fold in job order regardless of pool width). A spec
-// that binds an engine overrides the harness engine selection for its own
-// run — the selection is threaded through the runner, never written to the
-// EngineLPs global, so concurrent programs cannot race on it; the canonical
-// specs leave it unbound so saexp -engine still applies.
+// lines to w (results fold in job order regardless of pool width).
 func RunProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
-	lps := resolveLPs(prog.Spec)
 	if prog.Chaos() {
-		return runChaosProgram(w, prog, opt, lps)
+		return runChaosProgram(w, prog, opt)
 	}
-	return runAppProgram(w, prog, opt, lps)
-}
-
-// resolveLPs picks the per-run engine for one program: the spec's binding
-// when it names an engine (par → its LP count, seq → the reference engine),
-// otherwise the harness selection (saexp -engine).
-func resolveLPs(sp scenario.Spec) int {
-	switch sp.Binding.Engine {
-	case scenario.EnginePar:
-		return sp.Binding.EffLPs()
-	case scenario.EngineSeq:
-		return 0
-	}
-	return EngineLPs
+	return runAppProgram(w, prog, opt)
 }
 
 // resolveWorkers picks the fleet width: explicit option, then the spec's
-// hint, then auto (accounting for the per-run goroutine count under the
-// program's resolved engine).
-func resolveWorkers(optWorkers int, sp scenario.Spec, lps int) int {
+// hint, then one worker per schedulable CPU.
+func resolveWorkers(optWorkers int, sp scenario.Spec) int {
 	if optWorkers > 0 {
 		return optWorkers
 	}
 	if sp.Limits.Workers > 0 {
 		return sp.Limits.Workers
 	}
-	return fleet.WorkersFor(1 + lps)
+	return fleet.DefaultWorkers()
 }
 
 // runLimitFor returns the virtual-time bound for one run under the spec.
@@ -179,13 +159,13 @@ func foldOutcome(h uint64, j scenario.Job, o AppOutcome) uint64 {
 // runAppProgram fans the program's application jobs across the fleet, one
 // private engine per run, warm coroutine pools per worker, results folded
 // in job order.
-func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions, lps int) (*ProgramResult, error) {
+func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
 	sp := prog.Spec
-	workers := resolveWorkers(opt.Workers, sp, lps)
+	workers := resolveWorkers(opt.Workers, sp)
 	limit := runLimitFor(sp)
 	pr := &ProgramResult{Prog: prog}
 	if sp.Workload.Baseline {
-		pr.Baseline = seqTime(nbodyConfigFor(sp, scenario.Job{MemPct: 100}), sp.Machine.CPUs, limit, lps)
+		pr.Baseline = seqTime(nbodyConfigFor(sp, scenario.Job{MemPct: 100}), sp.Machine.CPUs, limit)
 	}
 	var progress appProgress
 	if opt.Checkpoint != "" {
@@ -207,7 +187,7 @@ func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions, lps int)
 		defer pools.Close()
 		sinceSave, every := 0, saveEvery(opt)
 		fleet.Run(workers, todo, func(job, worker int) AppOutcome {
-			return runAppJob(pools.get(worker), sp, prog.Jobs[base+job], limit, lps)
+			return runAppJob(pools.get(worker), sp, prog.Jobs[base+job], limit)
 		}, func(res fleet.Result[AppOutcome]) {
 			j := prog.Jobs[base+res.Job]
 			progress.Outcomes = append(progress.Outcomes, res.Value)
@@ -308,9 +288,9 @@ func costsFor(sp scenario.Spec) *machine.Costs {
 
 // runAppJob executes one application job on a private engine and returns
 // its outcome.
-func runAppJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Time, lps int) AppOutcome {
+func runAppJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Time) AppOutcome {
 	if sp.Workload.Kind == scenario.KindBursty {
-		return runBurstyJob(pool, sp, job, limit, lps)
+		return runBurstyJob(pool, sp, job, limit)
 	}
 	cfg := nbodyConfigFor(sp, job)
 	costs := costsFor(sp)
@@ -320,9 +300,9 @@ func runAppJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Tim
 		// smoke runs and warm-golden tests also drive. launchOnEngine
 		// hardcodes the MachineCPUs machine, so any other machine shape must
 		// take the general path below.
-		return AppOutcome{Els: []sim.Duration{runOne(pool, systemOf(job.System), cfg, job.Procs, limit, lps)}}
+		return AppOutcome{Els: []sim.Duration{runOne(pool, systemOf(job.System), cfg, job.Procs, limit)}}
 	}
-	return runCellJob(pool, sp, job, cfg, costs, limit, lps)
+	return runCellJob(pool, sp, job, cfg, costs, limit)
 }
 
 // runCellJob is the general application cell: Copies instances of the
@@ -330,8 +310,8 @@ func runAppJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Tim
 // allocation policy, and the spec's cost table. One copy on the default
 // table is exactly launchOnEngine's construction; the multiprogrammed cells
 // are Table 5's and the allocator ablation's.
-func runCellJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, cfg nbody.Config, costs *machine.Costs, limit sim.Time, lps int) AppOutcome {
-	eng := pool.NewEngine(engOptsLPs(job.Label, lps)...)
+func runCellJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, cfg nbody.Config, costs *machine.Costs, limit sim.Time) AppOutcome {
+	eng := pool.NewEngine(engOpts(job.Label)...)
 	defer eng.Close()
 	name := func(i int) string {
 		if job.Copies == 1 {
@@ -384,8 +364,8 @@ func runCellJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, cfg nbody.Co
 // sharing the machine with a processor-hungry competitor, the idle-spin
 // hysteresis set by the job. The measurement is re-allocation churn (kernel
 // takes and upcalls), not elapsed time.
-func runBurstyJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Time, lps int) AppOutcome {
-	eng := pool.NewEngine(engOptsLPs(job.Label, lps)...)
+func runBurstyJob(pool *sim.Pool, sp scenario.Spec, job scenario.Job, limit sim.Time) AppOutcome {
+	eng := pool.NewEngine(engOpts(job.Label)...)
 	defer eng.Close()
 	costs := costsFor(sp)
 	if costs == nil {
@@ -499,14 +479,14 @@ func ChaosSweepOpts(w io.Writer, first, n int64, opt SweepOptions) (*SweepAggreg
 // worker, results folded in seed order, checkpoints keyed by the spec. A
 // sharded spec runs only its own seed subrange (the compiled jobs), under
 // its shard-suffixed resume key.
-func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions, lps int) (*ProgramResult, error) {
+func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
 	sp := prog.Spec
 	f := sp.Faults
 	first, n := f.FirstSeed, f.Seeds
 	if sh := sp.Shard; sh != nil {
 		first, n = scenario.ShardRange(first, n, sh.Index, sh.Of)
 	}
-	workers := resolveWorkers(opt.Workers, sp, lps)
+	workers := resolveWorkers(opt.Workers, sp)
 	mutate := chaosMutator(f.Ablate)
 	replayEvery := f.EffReplayEvery()
 	ag := &SweepAggregate{First: first}
@@ -568,7 +548,7 @@ func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions, lps in
 	sinceSave, every := 0, saveEvery(opt)
 	fleet.Run(workers, int(todo), func(job, worker int) SeedReport {
 		if ctxs[worker] == nil {
-			ctxs[worker] = newRunContextFor(sp, lps)
+			ctxs[worker] = newRunContextFor(sp)
 		}
 		seed := base + int64(job)
 		if mutate != nil {
@@ -637,11 +617,10 @@ func replayMode(every int64) string {
 }
 
 // newRunContextFor builds a warm chaos context honoring the spec's machine
-// and storm overrides and the program's resolved engine; the canonical spec
-// leaves them zero, keeping the pinned seeded shape (CPUs drawn 2..5, 20s
-// storm, 5s drain).
-func newRunContextFor(sp scenario.Spec, lps int) *RunContext {
-	rc := NewRunContextLPs(lps)
+// and storm overrides; the canonical spec leaves them zero, keeping the
+// pinned seeded shape (CPUs drawn 2..5, 20s storm, 5s drain).
+func newRunContextFor(sp scenario.Spec) *RunContext {
+	rc := NewRunContext()
 	rc.CPUs = sp.Machine.CPUs
 	if sp.Faults.StormMs > 0 {
 		rc.Storm = sp.Faults.StormMs

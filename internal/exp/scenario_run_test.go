@@ -130,50 +130,6 @@ func TestScenarioHonorsMachineCPUs(t *testing.T) {
 	}
 }
 
-// TestScenarioEngineBindingIsLocal pins the engine-binding contract: a spec
-// that binds an engine threads the selection through its own run and never
-// writes the EngineLPs global (concurrent programs must not race on it),
-// and the PDES-bound run stays byte-identical to the sequential one.
-func TestScenarioEngineBindingIsLocal(t *testing.T) {
-	// resolveLPs: the binding wins over the harness selection in both
-	// directions, and an unbound spec inherits it.
-	saved := EngineLPs
-	defer func() { EngineLPs = saved }()
-	EngineLPs = 3
-	unbound := miniAppSpec("mini-eng")
-	if got := resolveLPs(unbound); got != 3 {
-		t.Fatalf("unbound spec should inherit EngineLPs=3, got %d", got)
-	}
-	seqBound := miniAppSpec("mini-eng")
-	seqBound.Binding.Engine = scenario.EngineSeq
-	if got := resolveLPs(seqBound); got != 0 {
-		t.Fatalf("seq-bound spec should resolve to the reference engine, got %d LPs", got)
-	}
-	parBound := miniAppSpec("mini-eng")
-	parBound.Binding.Engine = scenario.EnginePar
-	parBound.Binding.LPs = 2
-	if got := resolveLPs(parBound); got != 2 {
-		t.Fatalf("par-bound spec should resolve to its own LP count, got %d", got)
-	}
-
-	EngineLPs = 0
-	prSeq, err := RunSpec(io.Discard, miniAppSpec("mini-eng"), RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prPar, err := RunSpec(io.Discard, parBound, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if EngineLPs != 0 {
-		t.Fatalf("RunSpec mutated the EngineLPs global to %d", EngineLPs)
-	}
-	if prPar.Fingerprint != prSeq.Fingerprint {
-		t.Errorf("par-bound program fingerprint %016x != sequential %016x (engines must be byte-identical)",
-			prPar.Fingerprint, prSeq.Fingerprint)
-	}
-}
-
 // TestScenarioAppCheckpointResume pins checkpoint/resume for application
 // programs (the satellite generalizing the chaos sweep's resume to any
 // compiled sweep): a finished run's checkpoint makes a re-invocation run

@@ -33,23 +33,6 @@ import (
 // DefaultWorkers is the default pool width: one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// WorkersFor sizes the pool for runs that are themselves concurrent: a run
-// using perRun goroutines (e.g. a PDES engine's driver plus its logical
-// processes) gets cores divided by perRun, never below one worker. With
-// perRun <= 1 it is DefaultWorkers. Fleet-level and intra-run parallelism
-// multiply, so sizing with DefaultWorkers would oversubscribe the host by
-// the LP count.
-func WorkersFor(perRun int) int {
-	if perRun <= 1 {
-		return DefaultWorkers()
-	}
-	w := runtime.GOMAXPROCS(0) / perRun
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Result pairs one job's value with its scheduling metadata.
 type Result[T any] struct {
 	Job    int // job index in [0, n)

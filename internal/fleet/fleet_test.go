@@ -103,27 +103,3 @@ func TestRunDegenerate(t *testing.T) {
 		t.Fatalf("delivered %d of 3 results with default workers", n)
 	}
 }
-
-// WorkersFor divides the cores among concurrent runs without ever starving
-// the pool or exceeding the plain default.
-func TestWorkersFor(t *testing.T) {
-	def := DefaultWorkers()
-	if got := WorkersFor(0); got != def {
-		t.Fatalf("WorkersFor(0) = %d, want DefaultWorkers %d", got, def)
-	}
-	if got := WorkersFor(1); got != def {
-		t.Fatalf("WorkersFor(1) = %d, want DefaultWorkers %d", got, def)
-	}
-	for _, perRun := range []int{2, 3, 8, 1000} {
-		got := WorkersFor(perRun)
-		if got < 1 {
-			t.Fatalf("WorkersFor(%d) = %d, want >= 1", perRun, got)
-		}
-		if got > def {
-			t.Fatalf("WorkersFor(%d) = %d exceeds DefaultWorkers %d", perRun, got, def)
-		}
-		if def/perRun >= 1 && got != def/perRun {
-			t.Fatalf("WorkersFor(%d) = %d, want %d", perRun, got, def/perRun)
-		}
-	}
-}

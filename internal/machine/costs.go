@@ -61,21 +61,6 @@ type Costs struct {
 	Quantum     sim.Duration // kernel time-slice quantum for oblivious scheduling
 }
 
-// CrossLPLookahead returns the guaranteed lookahead this cost table gives
-// the conservative PDES engine (sim.WithLookahead): the cheapest primitive
-// by which one simulated CPU can affect another — IPI delivery or trapping
-// into the kernel, whichever is less. No cross-CPU causal chain can complete
-// in less simulated time than this, so it is safe lookahead in the
-// Chandy–Misra sense; the sim layer's null-message bounds keep the timeline
-// exact for any positive value, so this only sizes harvest batches.
-func (c *Costs) CrossLPLookahead() sim.Duration {
-	la := c.IPI
-	if c.Trap < la {
-		la = c.Trap
-	}
-	return la
-}
-
 // DefaultCosts returns the calibrated cost profile for the paper's prototype
 // implementation: user-level operations match original FastThreads, kernel
 // operations match Topaz, and the upcall path carries the prototype's

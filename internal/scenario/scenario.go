@@ -60,12 +60,6 @@ const (
 	PolicyFCFS  = "fcfs"  // first-come-first-served ablation
 )
 
-// Engines (Binding.Engine).
-const (
-	EngineSeq = "seq" // reference sequential engine
-	EnginePar = "par" // conservative PDES engine (byte-identical results)
-)
-
 // Chaos ablations (Faults.Ablate): deliberately broken kernels the auditor
 // must catch.
 const (
@@ -157,7 +151,7 @@ type Machine struct {
 }
 
 // Binding describes how threads bind to processors: which thread systems
-// run, at what parallelism, on which simulation engine.
+// run, and at what parallelism.
 type Binding struct {
 	// Systems lists the thread systems to run, one series per entry:
 	// topaz, orig-ft, new-ft. Required for nbody and bursty; must be empty
@@ -166,12 +160,6 @@ type Binding struct {
 	// Procs is the application-parallelism axis: one job per value per
 	// system (Figure 1's x-axis). Empty means {machine.cpus}.
 	Procs []int `json:"procs,omitempty"`
-	// Engine selects the per-run simulation engine: seq or par. Results
-	// are byte-identical either way; empty inherits the harness default
-	// (saexp -engine).
-	Engine string `json:"engine,omitempty"`
-	// LPs is the logical-process count with Engine == par. 0 means 2.
-	LPs int `json:"lps,omitempty"`
 	// Policy is the processor-allocation-policy axis for new-ft: space
 	// and/or fcfs (§4.1 ablation). Empty means {space}.
 	Policy []string `json:"policy,omitempty"`
@@ -215,8 +203,7 @@ type Limits struct {
 	// RunLimitMs bounds any single application run in virtual
 	// milliseconds; 0 means the canonical 30 minutes.
 	RunLimitMs int64 `json:"run_limit_ms,omitempty"`
-	// Workers is the fleet pool width; 0 means auto (one per host CPU,
-	// divided by the per-run goroutine count under the PDES engine).
+	// Workers is the fleet pool width; 0 means auto (one per host CPU).
 	// Results are byte-identical at any width; this only tunes wall-clock.
 	Workers int `json:"workers,omitempty"`
 }
@@ -263,14 +250,6 @@ func (b Binding) EffPolicy() []string {
 		return []string{PolicySpace}
 	}
 	return b.Policy
-}
-
-// EffLPs returns the effective LP count when Engine == par.
-func (b Binding) EffLPs() int {
-	if b.LPs == 0 {
-		return 2
-	}
-	return b.LPs
 }
 
 // ParseReplay parses a Faults.Replay value into the replay period: 1 means

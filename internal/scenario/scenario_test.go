@@ -56,8 +56,6 @@ func TestRoundTrip(t *testing.T) {
 		Binding: Binding{
 			Systems: []string{SysNewFT},
 			Procs:   []int{1, 4},
-			Engine:  EnginePar,
-			LPs:     3,
 			Policy:  []string{PolicySpace, PolicyFCFS},
 		},
 		Limits: Limits{RunLimitMs: 60000, Workers: 2},
@@ -91,6 +89,31 @@ func TestParseStrict(t *testing.T) {
 	if _, err := Parse([]byte(`{"machine":{"cpus":"six"}}`)); err == nil ||
 		!strings.Contains(err.Error(), "cpus") {
 		t.Fatalf("type-mismatch error missing field path: %v", err)
+	}
+}
+
+// TestBuiltinResumeKeysPinned pins every built-in spec's checkpoint
+// identity, so a schema change that alters the canonical encoding (a new
+// field without omitempty, a renamed tag) cannot orphan in-progress
+// checkpoints unnoticed.
+func TestBuiltinResumeKeysPinned(t *testing.T) {
+	want := map[string]string{
+		"alloc":      "5d0be4354fbd872a",
+		"chaos64":    "81bf942fe2ae7726",
+		"fig1":       "3869b206ad6b4503",
+		"fig2":       "86eaa2eadfdd96b0",
+		"fig2tuned":  "89b4905b43030c84",
+		"hysteresis": "665975d95bc9e998",
+		"table5":     "5860c797a3dc5a6e",
+	}
+	bs := Builtins()
+	if len(bs) != len(want) {
+		t.Fatalf("%d built-ins, %d pinned keys", len(bs), len(want))
+	}
+	for _, s := range bs {
+		if got := ResumeKey(s); got != want[s.Name] {
+			t.Errorf("builtin %q: resume key %s, pinned %s", s.Name, got, want[s.Name])
+		}
 	}
 }
 

@@ -137,18 +137,6 @@ func Validate(s Spec) error {
 			bad(fmt.Sprintf("binding.procs[%d]", i), "must be 1..machine.cpus=%d (got %d)", s.Machine.CPUs, p)
 		}
 	}
-	switch s.Binding.Engine {
-	case "", EngineSeq, EnginePar:
-	default:
-		bad("binding.engine", "unknown engine %q (want seq or par)", s.Binding.Engine)
-	}
-	if lps := s.Binding.LPs; lps != 0 {
-		if s.Binding.Engine != EnginePar {
-			bad("binding.lps", "only valid with binding.engine: par")
-		} else if lps < 1 || lps > 16 {
-			bad("binding.lps", "must be 1..16 (got %d)", lps)
-		}
-	}
 	if len(s.Binding.Policy) > 0 && (kind != KindNbody || !onlyNewFT(s.Binding.Systems)) {
 		bad("binding.policy", "an allocation-policy axis needs the nbody workload on new-ft only")
 	}

@@ -37,24 +37,6 @@ var enginesUnderTest = []engineUnderTest{
 		defer e.Close()
 		scenario(e)
 	}},
-	{"par", func(t *testing.T, opts []Option, scenario func(e Engine)) {
-		e := NewEngine(append(opts[:len(opts):len(opts)], WithLPs(2))...)
-		defer e.Close()
-		scenario(e)
-	}},
-	// par-pooled stresses the awkward corner of the PDES configuration space:
-	// pooled goroutines, several LPs, a channel small enough to exercise
-	// backpressure, and a lookahead far below the default so harvests are
-	// frequent and tiny.
-	{"par-pooled", func(t *testing.T, opts []Option, scenario func(e Engine)) {
-		p := NewPool()
-		defer p.Close()
-		e := p.NewEngine(append(opts[:len(opts):len(opts)],
-			WithLPs(3), WithLPChannelCap(2), WithLookahead(Microsecond),
-			WithAffinity(func(kind Kind, subject string) int { return len(subject) }))...)
-		defer e.Close()
-		scenario(e)
-	}},
 }
 
 // onEveryEngine runs scenario as a subtest per engine implementation.

@@ -15,19 +15,15 @@ var ErrKilled = errors.New("sim: coroutine killed by engine shutdown")
 // queue, and the coroutine machinery that runs simulated execution contexts
 // against it. Every layer of the stack — machine, kernel, core, uthread, the
 // chaos battery, the experiment harness — holds this interface, so engines
-// are interchangeable: the reference sequential engine (NewEngine), the
-// record/replay engine (NewReplayEngine), and the conservative PDES engine
-// (NewEngine with WithLPs) all slot in behind it.
+// are interchangeable: the reference sequential engine (NewEngine) and the
+// record/replay engine (NewReplayEngine) both slot in behind it.
 //
 // Engine methods must only be called from the goroutine driving Run/Step, or
 // from inside event callbacks and coroutines (which, by the strict hand-off
 // discipline, is the same goroutine dynamically). An engine is not safe for
 // concurrent use; it does not need to be, since the whole point is a single
-// deterministic timeline. (The PDES engine runs queue maintenance on helper
-// goroutines internally, but its public surface keeps exactly this
-// single-driver contract.) To use every core, run many engines — one per
-// independent run — under internal/fleet, or partition one run across LPs
-// with WithLPs.
+// deterministic timeline. To use every core, run many engines — one per
+// independent run — under internal/fleet.
 //
 // Every implementation must provide the exact observable contract the
 // compliance suite (compliance_test.go) pins: the (time, seq) total order,
@@ -85,14 +81,12 @@ type Engine interface {
 	// all live coroutines are unwound (outstanding Handles turn inert, the
 	// event free list is dropped so a warm run's Reuses count matches a
 	// cold engine's exactly) — while the metrics registry, hook
-	// registrations, goroutine pool, LP partition, and allocated queue
-	// capacity survive. Close hooks do NOT fire: the run is being recycled,
-	// not finished. Options are applied as at construction (label and
-	// elision default when not given); options that would re-partition the
-	// engine (WithLPs with a different count, WithLPChannelCap) panic.
-	// Reset on a closed engine panics; resetting an idle engine twice is
-	// harmless. A run that unwound with a *CoroutinePanic may be Reset and
-	// the engine reused.
+	// registrations, goroutine pool, and allocated queue capacity survive.
+	// Close hooks do NOT fire: the run is being recycled, not finished.
+	// Options are applied as at construction (label and elision default
+	// when not given). Reset on a closed engine panics; resetting an idle
+	// engine twice is harmless. A run that unwound with a *CoroutinePanic
+	// may be Reset and the engine reused.
 	Reset(opts ...Option)
 
 	// Label reports the engine's label (WithLabel).
@@ -150,8 +144,8 @@ type impl interface {
 	// nextEvent just returned — in place, without a goroutine hand-off.
 	consumeNext(ev *Event, c *Coroutine)
 	// cancelQueued removes a still-queued event (the Handle staleness
-	// checks have already passed). Reports true.
-	cancelQueued(ev *Event) bool
+	// checks have already passed).
+	cancelQueued(ev *Event)
 }
 
 // engineBase is the state and machinery every engine implementation shares:
@@ -174,7 +168,6 @@ type engineBase struct {
 	metrics *stats.Registry
 	hooks   Hooks
 	st      EngineStats
-	drain   []*Event // Reset drain scratch, reused across resets
 }
 
 // init wires the base to its implementation and applies construction
@@ -387,17 +380,6 @@ func (b *engineBase) resetBase(c config) {
 	}
 }
 
-// drainInert invalidates a batch of drained event records — every
-// outstanding Handle to them turns inert — and drops the references so the
-// records are collectable even while the scratch buffer is retained.
-// Shared by the Reset paths.
-func drainInert(evs []*Event) {
-	for i, ev := range evs {
-		ev.gen++
-		evs[i] = nil
-	}
-}
-
 // maxTime is the fire ceiling of an unbounded Run call.
 const maxTime = Time(1<<63 - 1)
 
@@ -415,19 +397,14 @@ const maxTime = Time(1<<63 - 1)
 // (make lint enforces the seam).
 type SeqEngine struct {
 	engineBase
-	tl timeline
+	tl    timeline
+	drain []*Event // Reset drain scratch, reused across resets
 }
 
-// NewEngine returns an engine at time zero with an empty event queue: the
-// reference sequential engine, or — when WithLPs selects one or more logical
-// processes — the conservative PDES engine (par.go), which reproduces the
-// reference timeline byte-identically.
+// NewEngine returns a reference sequential engine at time zero with an empty
+// event queue.
 func NewEngine(opts ...Option) Engine {
-	c := buildConfig(opts)
-	if c.lps > 0 {
-		return newParEngine(nil, c)
-	}
-	return newSeqEngine(nil, c)
+	return newSeqEngine(nil, buildConfig(opts))
 }
 
 func newSeqEngine(pool *Pool, c config) *SeqEngine {
@@ -543,14 +520,15 @@ func (e *SeqEngine) Close() {
 // Reset returns the engine to its construction state for reuse; see
 // Engine.Reset for the contract.
 func (e *SeqEngine) Reset(opts ...Option) {
-	c := buildConfig(opts)
-	if c.lps > 0 || c.lpChanCap > 0 {
-		panic("sim: Reset cannot re-partition an engine (WithLPs/WithLPChannelCap apply at construction only)")
-	}
 	e.beginReset()
+	// Every outstanding Handle to a drained record turns inert; dropping the
+	// references keeps the records collectable while the scratch survives.
 	e.drain = e.tl.drainAll(e.drain[:0])
-	drainInert(e.drain)
-	e.resetBase(c)
+	for i, ev := range e.drain {
+		ev.gen++
+		e.drain[i] = nil
+	}
+	e.resetBase(buildConfig(opts))
 	e.tl.reset(&e.st.Overflows)
 }
 
@@ -569,8 +547,7 @@ func (e *SeqEngine) consumeNext(ev *Event, c *Coroutine) {
 	e.finishConsume(ev, c)
 }
 
-func (e *SeqEngine) cancelQueued(ev *Event) bool {
+func (e *SeqEngine) cancelQueued(ev *Event) {
 	e.tl.dequeue(ev)
 	e.cancelled(ev)
-	return true
 }

@@ -39,14 +39,6 @@ type Event struct {
 	index int    // position in the overflow heap, -1 when not there
 	next  *Event // wheel slot list links (intrusive, allocation-free)
 	prev  *Event
-
-	// lp is the PDES engine's routing field: the logical process whose
-	// timeline currently files the event, or -1 when the event is
-	// driver-resident (which includes every event on the other engines).
-	// Unlike loc/slot/index/next/prev — which the owning timeline's goroutine
-	// mutates — lp is written only by the driving goroutine, so the Handle
-	// paths may read it without synchronization.
-	lp int32
 }
 
 // before reports whether a fires before b in the engine's total (time, seq)
@@ -102,18 +94,16 @@ func (h Handle) Name() string {
 // cancelled anything; cancelling an event that already fired or was already
 // cancelled is an inert no-op.
 //
-// The staleness check reads only gen, which the driving goroutine alone
-// writes: a matching generation implies the event is still queued, because
-// every path that takes it out of a queue — fire, consume, cancel, Close —
-// bumps gen before the driver returns to the caller. The queue-location
-// fields (loc and friends) may be owned by an LP goroutine on the PDES
-// engine, so the Handle must not touch them.
+// The staleness check reads only gen: a matching generation implies the
+// event is still queued, because every path that takes it out of a queue —
+// fire, consume, cancel, Close — bumps gen.
 func (h Handle) Cancel() bool {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen {
 		return false
 	}
-	return ev.eng.cancelQueued(ev)
+	ev.eng.cancelQueued(ev)
+	return true
 }
 
 // eventHeap is an indexed min-heap of events ordered by (time, seq). It is

@@ -1,26 +1,16 @@
 package sim
 
-import "fmt"
-
 // Option configures an engine at construction. Engine construction is
 // uniform across the harnesses: NewEngine(opts...) and Pool.NewEngine
 // (and NewReplayEngine) all accept the same options, so labels, elision
-// toggles, close observers, and the PDES partition are fixed before the
-// first event is scheduled and the engine carries no mutable configuration
-// surface.
+// toggles, and close observers are fixed before the first event is
+// scheduled and the engine carries no mutable configuration surface.
 type Option func(*config)
 
 type config struct {
 	label   string
 	noElide bool
 	onClose []func(Engine)
-
-	// Conservative PDES engine (par.go). lps == 0 selects the reference
-	// sequential engine; the remaining fields only apply when lps > 0.
-	lps       int
-	lookahead Duration
-	affinity  func(kind Kind, subject string) int
-	lpChanCap int
 }
 
 // WithLabel names the engine for stats output and diagnostics.
@@ -43,59 +33,6 @@ func WithElision(enabled bool) Option {
 // eng.Hooks().OnClose(fn) after construction.
 func OnClose(fn func(Engine)) Option {
 	return func(c *config) { c.onClose = append(c.onClose, fn) }
-}
-
-// WithLPs partitions the engine's event queue across n logical processes and
-// selects the conservative PDES engine (par.go): each LP owns a timeline
-// driven by its own goroutine, and the driver merges the partitions under
-// null-message lower bounds. n == 0 keeps the reference sequential engine,
-// so call sites can thread a configurable LP count without branching. The
-// simulated timeline — firing order, hook streams, stats, fingerprints — is
-// byte-identical for every n.
-//
-// NewReplayEngine ignores the option: a replay has no queue to partition.
-func WithLPs(n int) Option {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: WithLPs(%d): LP count must be >= 0", n))
-	}
-	return func(c *config) { c.lps = n }
-}
-
-// WithLookahead sets the PDES engine's harvest window: how far past the
-// earliest cross-LP bound the driver pulls events driver-side per round
-// trip. It is a batching knob, never a correctness one — the null-message
-// bounds guarantee order for any positive value. Larger windows mean fewer,
-// larger harvests. The default is DefaultLookahead; the experiment harness
-// passes the calibrated cost table's minimum cross-CPU charge
-// (machine.Costs.CrossLPLookahead), the guaranteed lower bound on cross-LP
-// event latency in the simulated machine.
-func WithLookahead(d Duration) Option {
-	if d <= 0 {
-		panic(fmt.Sprintf("sim: WithLookahead(%v): lookahead must be positive", d))
-	}
-	return func(c *config) { c.lookahead = d }
-}
-
-// WithAffinity installs the PDES engine's static routing function: given an
-// event's kind and subject, it returns a non-negative affinity token (events
-// with equal tokens file into the same LP) or a negative value for events
-// whose target LP cannot be statically determined, which route through the
-// shared LP 0. fn must be pure. Routing decides only which goroutine files
-// the event — never when it fires — so any affinity yields the identical
-// timeline; a good one just spreads queue work across LPs.
-func WithAffinity(fn func(kind Kind, subject string) int) Option {
-	return func(c *config) { c.affinity = fn }
-}
-
-// WithLPChannelCap bounds the PDES engine's per-LP command channels. The
-// bound is backpressure, not correctness: a full channel blocks the driver
-// until the LP drains, it never drops or reorders. Mostly a fuzzing knob —
-// the oracle battery shrinks it to force backpressure interleavings.
-func WithLPChannelCap(n int) Option {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: WithLPChannelCap(%d): capacity must be >= 1", n))
-	}
-	return func(c *config) { c.lpChanCap = n }
 }
 
 func buildConfig(opts []Option) config {

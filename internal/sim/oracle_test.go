@@ -55,12 +55,9 @@ func (o *oracleQueue) pending() int { return len(o.heap) }
 // horizon (~67ms) that exercise the overflow heap and the window advance —
 // including the behind-window path where a schedule lands below a window
 // that already jumped ahead over idle time.
-//
-// opts select the engine under test; the PDES oracle runs pass WithLPs and
-// friends so the partitioned queue faces the same programs as the reference.
-func wheelVsOracle(t *testing.T, next func() (op byte, arg int), opts ...Option) {
+func wheelVsOracle(t *testing.T, next func() (op byte, arg int)) {
 	t.Helper()
-	e := NewEngine(opts...)
+	e := NewEngine()
 	defer e.Close()
 	o := newOracle()
 
@@ -214,54 +211,6 @@ func TestWheelOracleIdleJump(t *testing.T) {
 		i++
 		return s.op, s.arg
 	})
-}
-
-// parOracleOpts is a PDES configuration tuned for maximum protocol traffic
-// in tests: a round-robin affinity scatters consecutive schedules across
-// every LP, and small channels plus short lookahead force frequent, tiny
-// harvests with backpressure. The counter makes the affinity stateful, which
-// is fine here: routing never affects the timeline, and the counter is still
-// deterministic for a deterministic program.
-func parOracleOpts(lps, chanCap int, lookahead Duration) []Option {
-	n := 0
-	return []Option{
-		WithLPs(lps), WithLPChannelCap(chanCap), WithLookahead(lookahead),
-		WithAffinity(func(Kind, string) int { n++; return n }),
-	}
-}
-
-// TestParMatchesHeapOracle runs the PDES engine against the heap oracle over
-// the same random programs as the reference test, across a grid of partition
-// shapes: the degenerate single (shared) LP, tiny channels with sub-tick
-// lookahead, and a wide partition with a window far beyond the batch sizes.
-func TestParMatchesHeapOracle(t *testing.T) {
-	configs := []struct {
-		name      string
-		lps, cap  int
-		lookahead Duration
-	}{
-		{"1lp", 1, 1, Microsecond},
-		{"2lp-tight", 2, 1, Microsecond},
-		{"4lp", 4, 8, 50 * Microsecond},
-		{"4lp-wide", 4, 256, 10 * Millisecond},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, seed := range []int64{1, 7, 1991} {
-				rng := rand.New(rand.NewSource(seed))
-				n := 0
-				wheelVsOracle(t, func() (byte, int) {
-					n++
-					if n > 2000 {
-						return 0xff, 0
-					}
-					op := []byte{0, 1, 2, 3}[rng.Intn(4)]
-					return op, rng.Intn(1 << 20)
-				}, parOracleOpts(cfg.lps, cfg.cap, cfg.lookahead)...)
-			}
-		})
-	}
 }
 
 // FuzzWheelVsHeapOracle lets the fuzzer search for any schedule/cancel/step

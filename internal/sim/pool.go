@@ -33,20 +33,15 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// NewEngine returns an engine whose coroutine goroutines are drawn from
-// (and returned to) the pool: the reference sequential engine, or the
-// conservative PDES engine when WithLPs selects one or more logical
-// processes. A nil *Pool is valid and yields a plain unpooled engine, so
-// call sites can thread an optional pool without branching.
+// NewEngine returns a reference sequential engine whose coroutine goroutines
+// are drawn from (and returned to) the pool. A nil *Pool is valid and yields
+// a plain unpooled engine, so call sites can thread an optional pool without
+// branching.
 func (p *Pool) NewEngine(opts ...Option) Engine {
 	if p != nil && p.closed {
 		panic("sim: NewEngine on closed Pool")
 	}
-	c := buildConfig(opts)
-	if c.lps > 0 {
-		return newParEngine(p, c)
-	}
-	return newSeqEngine(p, c)
+	return newSeqEngine(p, buildConfig(opts))
 }
 
 // Idle reports how many warm goroutines are parked in the pool right now.

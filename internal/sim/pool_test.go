@@ -26,13 +26,12 @@ type runObs struct {
 
 // interpret runs the byte-encoded coroutine workload on a fresh engine drawn
 // from pool (nil = unpooled), with the elision fast path optionally forced
-// off, plus any extra engine options (the PDES equivalence tests pass
-// WithLPs and friends). The workload mixes the primitives every layer above
-// builds on — Sleep (with and without competing events), charge-completion
-// callbacks through InlineCharge, Unpark by plain events, and child spawning
-// (which on a pooled engine recycles goroutines mid-run).
-func interpret(program []byte, pool *Pool, disableElision bool, extra ...Option) runObs {
-	e := pool.NewEngine(append([]Option{WithElision(!disableElision)}, extra...)...)
+// off. The workload mixes the primitives every layer above builds on —
+// Sleep (with and without competing events), charge-completion callbacks
+// through InlineCharge, Unpark by plain events, and child spawning (which on
+// a pooled engine recycles goroutines mid-run).
+func interpret(program []byte, pool *Pool, disableElision bool) runObs {
+	e := pool.NewEngine(WithElision(!disableElision))
 	defer e.Close()
 
 	var obs runObs

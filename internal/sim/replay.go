@@ -245,10 +245,6 @@ func (e *ReplayEngine) Close() {
 // events from the abandoned run turn inert and the recording's overflow
 // count is re-adopted, exactly as at construction.
 func (e *ReplayEngine) Reset(opts ...Option) {
-	c := buildConfig(opts)
-	if c.lps > 0 || c.lpChanCap > 0 {
-		panic("sim: Reset cannot re-partition an engine (WithLPs/WithLPChannelCap apply at construction only)")
-	}
 	e.beginReset()
 	for seq, ev := range e.byseq {
 		ev.loc = locNone
@@ -256,7 +252,7 @@ func (e *ReplayEngine) Reset(opts ...Option) {
 		delete(e.byseq, seq)
 	}
 	e.pos = 0
-	e.resetBase(c)
+	e.resetBase(buildConfig(opts))
 	e.st.Overflows = e.recOverflows
 }
 
@@ -277,9 +273,8 @@ func (e *ReplayEngine) consumeNext(ev *Event, c *Coroutine) {
 	e.finishConsume(ev, c)
 }
 
-func (e *ReplayEngine) cancelQueued(ev *Event) bool {
+func (e *ReplayEngine) cancelQueued(ev *Event) {
 	delete(e.byseq, ev.seq)
 	ev.loc = locNone
 	e.cancelled(ev)
-	return true
 }

@@ -155,9 +155,7 @@ func TestDoubleReset(t *testing.T) {
 	}
 }
 
-// TestResetPanics pins the rejection cases: Reset on a closed engine, and
-// Reset attempting to re-partition (WithLPs / WithLPChannelCap are
-// construction-only).
+// TestResetPanics pins the rejection case: Reset on a closed engine.
 func TestResetPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -170,14 +168,6 @@ func TestResetPanics(t *testing.T) {
 	closed := NewEngine()
 	closed.Close()
 	expectPanic("Reset on closed engine", func() { closed.Reset() })
-
-	e := NewEngine()
-	defer e.Close()
-	expectPanic("Reset with WithLPs", func() { e.Reset(WithLPs(2)) })
-
-	par := NewEngine(WithLPs(2))
-	defer par.Close()
-	expectPanic("Reset re-partitioning par engine", func() { par.Reset(WithLPs(3)) })
 }
 
 // FuzzEngineReset drives a warm engine and a procession of fresh engines in

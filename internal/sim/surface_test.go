@@ -40,16 +40,13 @@ func TestRetiredStatsSinkStaysGone(t *testing.T) {
 // simulator core: the whole point of the engine contract is one
 // deterministic timeline, so goroutines and channels may appear only in the
 // files whose synchronization discipline is documented and race-tested —
-// the coroutine hand-off, the goroutine pool, and the PDES engine's
-// LP protocol. A `go` statement or channel make anywhere else in the
-// package is a design violation, not a style nit. (make lint enforces the
-// same rule from outside the package.)
+// the coroutine hand-off and the goroutine pool. A `go` statement or channel
+// make anywhere else in the package is a design violation, not a style nit.
+// (make lint enforces the same rule from outside the package.)
 func TestSimConcurrencyIsAudited(t *testing.T) {
 	audited := map[string]bool{
 		"coroutine.go": true, // strict hand-off: one runnable goroutine at a time
 		"pool.go":      true, // warm goroutine pool behind the same hand-off
-		"lp.go":        true, // PDES logical-process command loop
-		"par.go":       true, // PDES driver side of the LP protocol
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -1,13 +1,9 @@
 package sim
 
-// timeline is one partition's event queue: the two-level timing wheel plus
-// the sorted overflow heap, with the exact (time, seq) merged order the
-// engine contract requires. It was extracted from the reference engine so
-// the conservative PDES engine can give every logical process its own
-// instance; SeqEngine keeps one as its whole queue.
-//
-// A timeline is confined to a single goroutine — the driving goroutine for
-// SeqEngine, the owning LP's goroutine for ParEngine — and performs no
+// timeline is SeqEngine's event queue: the two-level timing wheel plus the
+// sorted overflow heap, behind one enqueue/dequeue/peek surface that hides
+// the merge and yields the exact (time, seq) order the engine contract
+// requires. It is confined to the driving goroutine and performs no
 // synchronization of its own.
 type timeline struct {
 	wh  wheel
@@ -95,11 +91,10 @@ func (q *timeline) advanceTo(ch int64) {
 // without removing it, or nil when the queue is empty. The merged order
 // across wheel and overflow heap is the exact (time, seq) total order.
 //
-// Window invariant (the PDES engine's shadow window depends on it): when
-// peek returns event h, the wheel's curChunk is exactly
-// max(curChunk-before-the-call, chunk(h.t)) — the window advances to the
-// head's chunk when the head is at or past the window, and stays put when
-// the head is behind it (served from the overflow heap).
+// Window invariant: when peek returns event h, the wheel's curChunk is
+// exactly max(curChunk-before-the-call, chunk(h.t)) — the window advances
+// to the head's chunk when the head is at or past the window, and stays put
+// when the head is behind it (served from the overflow heap).
 func (q *timeline) peek() *Event {
 	for {
 		var hp *Event

@@ -29,15 +29,3 @@ func BenchmarkTraceEmit(b *testing.B) {
 		b.Fatalf("observer saw %d of %d records", blocks, b.N)
 	}
 }
-
-// BenchmarkTraceLogf is the deprecated string path, kept as the comparison
-// point: each call boxes its variadic args and renders eagerly.
-func BenchmarkTraceLogf(b *testing.B) {
-	l := New(4096)
-	l.Observe(func(r Record) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Logf(sim.Time(i), 1, "block", "%s act%d: %s", "matrix", i, "io-blocked")
-	}
-}

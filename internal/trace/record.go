@@ -17,8 +17,9 @@ type Kind uint8
 
 const (
 	// KindMsg is a generic pre-formatted message: Name holds the category,
-	// Aux the rendered text. Only the deprecated Add/Logf compatibility
-	// shim emits it; typed consumers ignore it.
+	// Aux the rendered text. Typed consumers ignore it. It stays value 0:
+	// the fingerprinter hashes the Kind value, so kinds are never
+	// renumbered.
 	KindMsg Kind = iota
 
 	// --- scheduler-activation kernel (internal/core) ---
@@ -179,11 +180,6 @@ type Record struct {
 	// Their meaning per kind is documented on the Kind constants.
 	A, B, C, D int64
 }
-
-// Entry is the old name for Record.
-//
-// Deprecated: consumers should use Record and dispatch on Kind.
-type Entry = Record
 
 // Cat returns the record's category label (constant per kind; KindMsg
 // carries its own).

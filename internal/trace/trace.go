@@ -13,8 +13,6 @@ package trace
 import (
 	"fmt"
 	"io"
-
-	"schedact/internal/sim"
 )
 
 // Log is a bounded in-memory event log, optionally mirrored to a writer.
@@ -23,8 +21,8 @@ type Log struct {
 	Live      io.Writer // if non-nil, entries are written as they arrive
 	list      []Record
 	lost      uint64
-	noRetain  bool // observer-only: records flow to observers/Live, none kept
-	filterOn  bool // a category filter is installed (see Filter)
+	noRetain  bool            // observer-only: records flow to observers/Live, none kept
+	filterOn  bool            // a category filter is installed (see Filter)
 	kindMask  uint64          // bit per Kind: set = kept (typed kinds only)
 	msgCats   map[string]bool // KindMsg categories kept (dynamic, in Name)
 	observers []func(Record)
@@ -144,35 +142,6 @@ func (l *Log) emit(r Record) {
 		l.list = l.list[:n]
 	}
 	l.list = append(l.list, r)
-}
-
-// Add records a pre-formatted event as a generic KindMsg record: cat
-// becomes the record's category, the rendered format string its message.
-// Safe on a nil log.
-//
-// Deprecated: Add renders its message eagerly, so with any observer
-// attached every call allocates a formatted string even when nothing ever
-// prints — exactly the per-event overhead the typed path removes. In-tree
-// emit sites construct a Record and call Emit; Add remains so out-of-tree
-// callers and tests can migrate incrementally.
-func (l *Log) Add(t sim.Time, cpu int, cat, format string, args ...any) {
-	if l == nil {
-		return
-	}
-	// One filter check, before the message renders (a KindMsg record's
-	// category is its Name, so the record itself is not needed to decide);
-	// emit then skips the re-check Emit would perform.
-	if l.filterOn && !l.msgCats[cat] {
-		return
-	}
-	l.emit(Record{T: t, CPU: int32(cpu), Kind: KindMsg, Name: cat, Aux: fmt.Sprintf(format, args...)})
-}
-
-// Logf is Add under its historical name.
-//
-// Deprecated: see Add; new emit sites should construct a Record and Emit it.
-func (l *Log) Logf(t sim.Time, cpu int, cat, format string, args ...any) {
-	l.Add(t, cpu, cat, format, args...)
 }
 
 // Entries returns the retained records in order.

@@ -12,7 +12,7 @@ import (
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Add(0, 1, "cat", "message %d", 1) // must not panic
+	l.Emit(Record{Kind: KindMsg, Name: "cat", Aux: "message 1"}) // must not panic
 	l.Emit(Record{Kind: KindDispatch, Name: "t"})
 	l.Observe(func(Record) {})
 	if l.Entries() != nil {
@@ -28,8 +28,8 @@ func TestNilLogIsSafe(t *testing.T) {
 
 func TestAddAndDump(t *testing.T) {
 	l := New(0)
-	l.Add(sim.Time(1500*sim.Microsecond), 2, "dispatch", "thread %s", "a")
-	l.Add(sim.Time(2*sim.Millisecond), -1, "note", "no cpu")
+	l.Emit(Record{T: sim.Time(1500 * sim.Microsecond), CPU: 2, Kind: KindMsg, Name: "dispatch", Aux: "thread a"})
+	l.Emit(Record{T: sim.Time(2 * sim.Millisecond), CPU: -1, Kind: KindMsg, Name: "note", Aux: "no cpu"})
 	if len(l.Entries()) != 2 {
 		t.Fatalf("entries = %d, want 2", len(l.Entries()))
 	}
@@ -66,7 +66,7 @@ func TestFilterKeepsOnlySelected(t *testing.T) {
 	l := New(0).Filter("upcall")
 	l.Emit(Record{Kind: KindUpcall, Name: "s", B: 0})
 	l.Emit(Record{Kind: KindDispatch, Name: "t"})
-	l.Add(0, 0, "drop", "no")
+	l.Emit(Record{Kind: KindMsg, Name: "drop", Aux: "no"})
 	if n := len(l.Entries()); n != 1 {
 		t.Fatalf("entries = %d, want 1", n)
 	}
@@ -101,8 +101,8 @@ func TestFilterBitmaskMatchesCategories(t *testing.T) {
 	l.Emit(Record{Kind: KindChaosPreempt, A: 1})
 	l.Emit(Record{Kind: KindChaosRebalance})
 	l.Emit(Record{Kind: KindDispatch, Name: "t"})
-	l.Add(0, 0, "note", "dropped before rendering")
-	l.Add(0, 0, "upcall", "kept")
+	l.Emit(Record{Kind: KindMsg, Name: "note", Aux: "dropped before rendering"})
+	l.Emit(Record{Kind: KindMsg, Name: "upcall", Aux: "kept"})
 	if n := len(l.Entries()); n != 3 {
 		t.Fatalf("entries = %d, want 3 (2 chaos + 1 upcall msg)", n)
 	}
