@@ -27,11 +27,6 @@
 //	saexp -scenario fig1           # a built-in spec by name
 //	saexp -scenario my.json        # a custom spec from a file
 //	cat my.json | saexp -scenario -  # ... or from stdin
-//	saexp -scenario chaos64 -checkpoint sweep.json   # any compiled sweep can checkpoint/resume
-//
-// A checkpoint file is keyed by the spec that wrote it: re-invoking the same
-// spec resumes after the jobs already done, while a checkpoint written by a
-// different spec is rejected instead of silently merged.
 //
 // Chaos mode (separate from -exp):
 //
@@ -39,16 +34,12 @@
 //	saexp -chaos -seeds 256   # more seeds
 //	saexp -chaos -first 100 -seeds 64    # a different seed range (-first-seed works too)
 //	saexp -chaos -workers 8   # pool width (default GOMAXPROCS; 1 = sequential)
-//	saexp -chaos -checkpoint sweep.json  # resumable: re-invoking skips completed seeds
 //	saexp -chaos -ablate nogrant    # demo: auditor catches a broken allocator
 //	saexp -chaos -ablate dropevent  # demo: auditor catches dropped events
 //
 // Each sweep worker owns one warm run context recycled across its seeds, so
 // wide sweeps pay construction once per worker, not once per seed; per-seed
-// results are byte-identical to cold runs either way. With -checkpoint the
-// sweep streams progress to a JSON file and a re-invocation with the same
-// -first-seed resumes after the seeds already done (growing -seeds extends a
-// finished sweep).
+// results are byte-identical to cold runs either way.
 //
 // Chaos mode exits nonzero if any seed fails, so it can gate CI. It is the
 // built-in chaos spec with the seed range taken from -first-seed/-seeds.
@@ -93,14 +84,7 @@ func run() int {
 	seeds := flag.Int64("seeds", 64, "number of chaos seeds to sweep (with -chaos)")
 	firstSeed := flag.Int64("first-seed", 1, "first chaos seed (with -chaos; -first is an alias)")
 	flag.Int64Var(firstSeed, "first", 1, "alias for -first-seed")
-	checkpoint := flag.String("checkpoint", "", "sweep progress file (with -chaos or -scenario): resumes the same spec, extends it when the seed range grows; a different spec's checkpoint is rejected")
 	scenarioSrc := flag.String("scenario", "", "run a declarative scenario: a built-in name (see -list), a spec JSON file, or - for stdin")
-	shard := flag.String("shard", "", "with -scenario on a mix sweep: run one shard i/n of the seed range (e.g. -shard 2/4); the shard checkpoints under its own key and merges back with -merge")
-	shardExec := flag.Int("shard-exec", 0, "with -scenario on a mix sweep: split the sweep into n shards, run each in its own child process (bounded by -shard-parallel, crashed shards resumed from their checkpoints), then merge and report")
-	shardParallel := flag.Int("shard-parallel", 0, "concurrent shard processes with -shard-exec (0 = auto: min(shards, CPUs))")
-	mergeMode := flag.Bool("merge", false, "merge finished shard checkpoint files (positional arguments) into one sweep report and exit nonzero if any merged seed failed")
-	results := flag.String("results", "", "with -scenario on a mix sweep: append one JSON line per seed to this file (JSONL; see DESIGN.md §9)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "results between checkpoint writes with -checkpoint (0 = default 16; shard drivers lower it so a killed shard loses less progress)")
 	list := flag.Bool("list", false, "list the built-in scenarios and experiments, one line each, and exit")
 	ablate := flag.String("ablate", "", "run one deliberately broken kernel under the auditor: nogrant or dropevent (with -chaos)")
 	workers := flag.Int("workers", 0, "parallel run pool width for sweeps and experiment batteries (1 = sequential; 0 = auto: one per CPU)")
@@ -116,9 +100,7 @@ func run() int {
 		mode = modeTraceOut
 	case *list:
 		mode = modeList
-	case *mergeMode:
-		mode = modeMerge
-	case *shardExec > 0 || *scenarioSrc != "":
+	case *scenarioSrc != "":
 		mode = modeScenario
 	case *chaosMode:
 		mode = modeChaos
@@ -179,41 +161,12 @@ func run() int {
 	if *list {
 		return runList()
 	}
-	if *mergeMode {
-		return runMerge(flag.Args())
-	}
-	if *shardExec > 0 {
-		if *scenarioSrc == "" {
-			fmt.Fprintln(os.Stderr, "-shard-exec needs -scenario")
-			return 2
-		}
-		if *shard != "" {
-			fmt.Fprintln(os.Stderr, "-shard-exec and -shard are mutually exclusive (the driver assigns shards itself)")
-			return 2
-		}
-		return runShardExec(*scenarioSrc, *shardExec, shardExecOpts{
-			checkpoint: *checkpoint,
-			results:    *results,
-			workers:    rawWorkers,
-			parallel:   *shardParallel,
-			every:      *checkpointEvery,
-		})
-	}
 	if *scenarioSrc != "" {
-		return runScenario(*scenarioSrc, *shard, exp.RunOptions{
-			Workers:         rawWorkers,
-			Checkpoint:      *checkpoint,
-			CheckpointEvery: *checkpointEvery,
-			Results:         *results,
-		})
+		return runScenario(*scenarioSrc, exp.RunOptions{Workers: rawWorkers})
 	}
 
 	if *chaosMode {
-		return runChaos(*seeds, *firstSeed, *ablate, exp.RunOptions{
-			Workers:         *workers,
-			Checkpoint:      *checkpoint,
-			CheckpointEvery: *checkpointEvery,
-		})
+		return runChaos(*seeds, *firstSeed, *ablate, exp.RunOptions{Workers: *workers})
 	}
 
 	out := os.Stdout
@@ -387,31 +340,14 @@ func loadSpec(src string) (scenario.Spec, error) {
 	return scenario.LoadFile(src)
 }
 
-// parseShard parses a -shard value "i/n" into its 1-based index and count.
-func parseShard(s string) (index, of int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &index, &of); err != nil || s != fmt.Sprintf("%d/%d", index, of) {
-		return 0, 0, fmt.Errorf("-shard %q: want i/n (e.g. 2/4)", s)
-	}
-	return index, of, nil
-}
-
 // runScenario compiles and runs one declarative scenario: a built-in by
-// name, a spec JSON file, or stdin — restricted to one shard when -shard
-// is given. Exit code 0 only if every job (and, for chaos programs, every
-// seed) passed.
-func runScenario(src, shard string, opt exp.RunOptions) int {
+// name, a spec JSON file, or stdin. Exit code 0 only if every job (and, for
+// chaos programs, every seed) passed.
+func runScenario(src string, opt exp.RunOptions) int {
 	sp, err := loadSpec(src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-	if shard != "" {
-		index, of, err := parseShard(shard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		sp = scenario.WithShard(sp, index, of)
 	}
 	pr, err := exp.RunSpec(os.Stdout, sp, opt)
 	if err != nil {
@@ -469,7 +405,6 @@ const (
 	modeExp      = "-exp"
 	modeTraceOut = "-trace-out"
 	modeList     = "-list"
-	modeMerge    = "-merge"
 	modeScenario = "-scenario"
 	modeChaos    = "-chaos"
 )
@@ -483,10 +418,6 @@ var flagModes = []struct {
 	{"first-seed", []string{modeChaos}},
 	{"first", []string{modeChaos}},
 	{"ablate", []string{modeChaos}},
-	{"checkpoint", []string{modeChaos, modeScenario}},
-	{"checkpoint-every", []string{modeChaos, modeScenario}},
-	{"shard", []string{modeScenario}},
-	{"results", []string{modeScenario}},
 }
 
 // checkFlags rejects an explicitly set flag (set holds the names flag.Visit

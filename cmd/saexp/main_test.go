@@ -16,25 +16,20 @@ func TestCheckFlags(t *testing.T) {
 		which string
 		bad   string // offending flag in the error, "" = accepted
 	}{
-		{"chaos sweep flags", []string{"chaos", "seeds", "first", "workers", "checkpoint", "checkpoint-every"}, modeChaos, "all", ""},
+		{"chaos sweep flags", []string{"chaos", "seeds", "first", "workers"}, modeChaos, "all", ""},
 		{"chaos first-seed alias", []string{"chaos", "first-seed"}, modeChaos, "all", ""},
 		{"chaos ablation", []string{"chaos", "ablate"}, modeChaos, "all", ""},
 		{"scenario with seeds", []string{"scenario", "seeds"}, modeScenario, "all", "-seeds"},
 		{"scenario with first-seed", []string{"scenario", "first-seed"}, modeScenario, "all", "-first-seed"},
 		{"scenario with ablate", []string{"scenario", "ablate"}, modeScenario, "all", "-ablate"},
-		{"scenario sweep flags", []string{"scenario", "shard", "results", "checkpoint", "checkpoint-every", "workers"}, modeScenario, "all", ""},
+		{"scenario sweep flags", []string{"scenario", "workers"}, modeScenario, "all", ""},
 		{"exp with ablate", []string{"exp", "ablate"}, modeExp, "table1", "-ablate"},
-		{"exp with checkpoint", []string{"exp", "checkpoint"}, modeExp, "table1", "-checkpoint"},
-		{"exp with checkpoint-every", []string{"checkpoint-every"}, modeExp, "all", "-checkpoint-every"},
-		{"chaos with shard", []string{"chaos", "shard"}, modeChaos, "all", "-shard"},
-		{"chaos with results", []string{"chaos", "results"}, modeChaos, "all", "-results"},
 		{"csv on fig1", []string{"exp", "csv"}, modeExp, "fig1", ""},
 		{"csv on fig2", []string{"exp", "csv"}, modeExp, "fig2", ""},
 		{"csv on table1", []string{"exp", "csv"}, modeExp, "table1", "-csv"},
 		{"csv on all", []string{"csv"}, modeExp, "all", "-csv"},
 		{"csv with chaos", []string{"chaos", "csv"}, modeChaos, "all", "-csv"},
 		{"csv with trace-out", []string{"trace-out", "exp", "csv"}, modeTraceOut, "fig1", "-csv"},
-		{"merge with checkpoint", []string{"merge", "checkpoint"}, modeMerge, "all", "-checkpoint"},
 		{"list alone", []string{"list"}, modeList, "all", ""},
 		{"exp with stats and workers", []string{"exp", "stats", "workers"}, modeExp, "fig2", ""},
 	}

@@ -12,7 +12,8 @@ import (
 // harness at pool width 1. It is the macro view of the event-queue work:
 // each seed is two complete simulations dominated by schedule/fire traffic.
 // ReportMetric surfaces seeds/sec, the number the sweep's wall-clock scales
-// by; BENCH.json records it via make bench-json.
+// by. It is a micro probe; perfbench's chaos-mix workload is the measured
+// end-to-end number.
 func BenchmarkChaosSweep(b *testing.B) {
 	const seedsPer = 4
 	b.ReportAllocs()
@@ -27,7 +28,7 @@ func BenchmarkChaosSweep(b *testing.B) {
 // BenchmarkChaosSweepSampled is BenchmarkChaosSweep with the replay check
 // off (faults.replay: off) through the scenario pipeline: each seed runs
 // once instead of twice, so seeds/sec should roughly double — the per-run
-// hot-path cut a million-run sweep buys with the spec knob. Comparing this
+// hot-path cut a wide sweep buys with the spec knob. Comparing this
 // benchmark's seeds/sec against BenchmarkChaosSweep's is the honest cost of
 // the replay-divergence check.
 func BenchmarkChaosSweepSampled(b *testing.B) {

@@ -126,18 +126,12 @@ const (
 // chaosLabel names one seed's run engine.
 func chaosLabel(seed int64) string { return fmt.Sprintf("chaos seed %d", seed) }
 
-// chaosOnce executes one audited, fault-injected mixed workload for seed.
-// pool, when non-nil, supplies warm coroutine goroutines (sim.Pool); it must
-// be owned by the calling worker.
-func chaosOnce(pool *sim.Pool, seed int64, mutate func(*core.Kernel)) (chaos.Fingerprint, ChaosResult) {
-	return chaosOnceOn(pool.NewEngine(sim.WithLabel(chaosLabel(seed))), seed, mutate)
-}
-
-// chaosOnceOn is chaosOnce on a caller-supplied engine — the seam the
-// replay check uses to drive the identical workload through a tape-driven
-// replay engine instead of the reference one. It closes the engine
-// before returning (the fingerprint finalizes as a close hook).
-func chaosOnceOn(eng sim.Engine, seed int64, mutate func(*core.Kernel)) (fp chaos.Fingerprint, r ChaosResult) {
+// chaosOnce executes one audited, fault-injected mixed workload for seed on
+// a fresh engine, closing it before returning (the fingerprint finalizes as
+// a close hook). pool, when non-nil, supplies warm coroutine goroutines
+// (sim.Pool); it must be owned by the calling worker.
+func chaosOnce(pool *sim.Pool, seed int64, mutate func(*core.Kernel)) (fp chaos.Fingerprint, r ChaosResult) {
+	eng := pool.NewEngine(sim.WithLabel(chaosLabel(seed)))
 	rng := rand.New(rand.NewSource(seed))
 	defer eng.Close()
 	// Every chaos consumer — auditor, fingerprinter, latency deriver —
@@ -183,22 +177,6 @@ func chaosOnceOn(eng sim.Engine, seed int64, mutate func(*core.Kernel)) (fp chao
 	}
 	eng.Close() // idempotent with the defer; fires the fingerprint close hook
 	return fpr.Value(), r
-}
-
-// ReplayChaosSeed runs seed once on the reference engine while recording its
-// fired-event stream, then re-executes the identical workload on a
-// replay engine (sim.NewReplayEngine) seeded with that recording, and returns both
-// fingerprints. The replay engine has no timing wheel, heap, or ordering
-// logic of its own — the tape dictates every firing — so matching
-// fingerprints prove the hook stream carries the complete timeline, and the
-// replay engine panics on the first divergence rather than drifting
-// silently.
-func ReplayChaosSeed(seed int64) (ref, replay chaos.Fingerprint) {
-	eng := sim.NewEngine(sim.WithLabel(chaosLabel(seed)))
-	rec := sim.Record(eng)
-	ref, _ = chaosOnceOn(eng, seed, nil)
-	replay, _ = chaosOnceOn(sim.NewReplayEngine(rec.Recording(), sim.WithLabel(chaosLabel(seed))), seed, nil)
-	return ref, replay
 }
 
 // RunChaosSeed runs one seed twice — identical code path both times — and
@@ -302,7 +280,7 @@ func (rc *RunContext) Close() {
 }
 
 // runOnce executes one audited, fault-injected mixed workload for seed on
-// the warm stack. It is chaosOnceOn with construction replaced by Reset,
+// the warm stack. It is chaosOnce with construction replaced by Reset,
 // statement for statement — every call that schedules an event or draws
 // from the seed RNG happens in the cold order, so the timeline is
 // byte-identical. The engine stays open; the fingerprint is finalized
@@ -416,32 +394,25 @@ func (rc *RunContext) RunSeedReportMutated(seed int64, mutate func(*core.Kernel)
 	}
 }
 
-// maxFailedSeeds bounds the failed-seed list a sweep aggregate retains (and
-// checkpoints); the failure count is exact regardless.
+// maxFailedSeeds bounds the failed-seed list a sweep aggregate retains;
+// the failure count is exact regardless.
 const maxFailedSeeds = 64
 
 // SweepAggregate is the streaming sweep state: everything the sweep reports
 // is folded here in seed order with bounded memory — a rolling fleet
 // fingerprint over the per-seed fingerprints, exact failure attribution by
-// seed (bounded list), and merged cross-run latency histograms. It is also
-// the checkpoint payload.
+// seed (bounded list), and merged cross-run latency histograms.
 type SweepAggregate struct {
-	First int64 `json:"first"`
-	// Want is the planned sweep width (seed count) of the writing run —
-	// for a shard, the shard's own subrange width. MergeShards requires
-	// Done == Want on every input: a shard checkpoint mid-sweep is not a
-	// mergeable result. Checkpoints from before this field decode as 0 and
-	// resume fine; they only cannot merge.
-	Want   int64   `json:"want,omitempty"`
-	Done   int64   `json:"done"`          // seeds completed: first..first+Done-1
-	Failed int64   `json:"failed"`        // exact failure count
-	Seeds  []int64 `json:"failed_seeds"`  // first maxFailedSeeds failing seeds
-	Fleet  uint64  `json:"fleet_fnv"`     // rolling FNV-1a over (seed, fingerprint)
-	Runs   uint64  `json:"threads_total"` // workload threads across first runs
+	First  int64
+	Done   int64   // seeds completed: first..first+Done-1
+	Failed int64   // exact failure count
+	Seeds  []int64 // first maxFailedSeeds failing seeds
+	Fleet  uint64  // rolling FNV-1a over (seed, fingerprint)
+	Runs   uint64  // workload threads across first runs
 	// Merged latency distributions from each seed's first run.
-	UpcallDispatch stats.Histogram `json:"upcall_dispatch"`
-	ReadyWait      stats.Histogram `json:"ready_wait"`
-	BlockUnblock   stats.Histogram `json:"block_unblock"`
+	UpcallDispatch stats.Histogram
+	ReadyWait      stats.Histogram
+	BlockUnblock   stats.Histogram
 }
 
 // fold streams one seed's report into the aggregate. Reports must arrive in

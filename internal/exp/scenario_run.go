@@ -30,36 +30,21 @@ type RunOptions struct {
 	// limits.workers, then to auto (one per CPU). Results are
 	// byte-identical at any width.
 	Workers int
-	// Checkpoint, when non-empty, is a JSON progress file keyed by the
-	// spec's resume identity: re-invoking resumes after the jobs already
-	// done (growing faults.seeds extends a finished sweep), and a
-	// checkpoint written by a different spec is rejected, not merged.
-	Checkpoint string
-	// CheckpointEvery overrides how many streamed results separate
-	// checkpoint writes (0 = the default, checkpointEvery). Shard drivers
-	// lower it so a killed shard loses less progress.
-	CheckpointEvery int
-	// Results, when non-empty, appends one JSON line per chaos seed to
-	// this file as results stream in (batch consumers tail it instead of
-	// parsing the human report). The file is append-only across resumes;
-	// seeds re-run after a crash may repeat, so consumers dedupe by seed,
-	// last line wins.
-	Results string
 }
 
 // AppOutcome is one application job's measurement: the execution time of
 // each multiprogrammed copy, plus the kernel's re-allocation and upcall
-// counts for the bursty workload. It is the app checkpoint's unit.
+// counts for the bursty workload.
 type AppOutcome struct {
-	Els     []sim.Duration `json:"els_ns"`
-	Takes   uint64         `json:"takes,omitempty"`
-	Upcalls uint64         `json:"upcalls,omitempty"`
+	Els     []sim.Duration
+	Takes   uint64
+	Upcalls uint64
 }
 
 // ProgramResult is one executed program: outcomes in job order (application
 // programs), the streaming aggregate (chaos programs), the sequential
 // baseline when the spec asked for one, and the rolling fleet fingerprint
-// over all results — deterministic, width-independent, resume-invariant.
+// over all results — deterministic and width-independent.
 type ProgramResult struct {
 	Prog        *scenario.Program
 	Baseline    sim.Duration    // sequential time (spec workload.baseline)
@@ -78,12 +63,14 @@ func RunSpec(w io.Writer, sp scenario.Spec, opt RunOptions) (*ProgramResult, err
 }
 
 // RunProgram executes a compiled program on the fleet, streaming per-job
-// lines to w (results fold in job order regardless of pool width).
+// lines to w (results fold in job order regardless of pool width). The
+// error is always nil: Compile already validated the spec, and the
+// signature matches RunSpec, whose error reports an invalid one.
 func RunProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
 	if prog.Chaos() {
-		return runChaosProgram(w, prog, opt)
+		return runChaosProgram(w, prog, opt), nil
 	}
-	return runAppProgram(w, prog, opt)
+	return runAppProgram(w, prog, opt), nil
 }
 
 // resolveWorkers picks the fleet width: explicit option, then the spec's
@@ -122,32 +109,11 @@ func fnvFold(h uint64, vals ...uint64) uint64 {
 	return h
 }
 
-// checkpointEvery is how many streamed results separate checkpoint writes
-// (the final state is always written).
-const checkpointEvery = 16
-
-// saveEvery resolves the option against the default.
-func saveEvery(opt RunOptions) int {
-	if opt.CheckpointEvery > 0 {
-		return opt.CheckpointEvery
-	}
-	return checkpointEvery
-}
-
 // --- application programs ---
-
-// appProgress is the application-program checkpoint payload: outcomes for
-// the first Done jobs in job order, plus the rolling fingerprint over them.
-type appProgress struct {
-	Done     int          `json:"done"`
-	Fleet    uint64       `json:"fleet_fnv"`
-	Outcomes []AppOutcome `json:"outcomes"`
-}
 
 // foldOutcome streams one job's outcome into the rolling program
 // fingerprint. Outcomes must arrive in job order (fleet.Run's emit
-// contract), which makes the fingerprint independent of pool width and of
-// how many resumes it took to finish the program.
+// contract), which makes the fingerprint independent of pool width.
 func foldOutcome(h uint64, j scenario.Job, o AppOutcome) uint64 {
 	h = fnvFold(h, uint64(j.Index), uint64(len(o.Els)))
 	for _, el := range o.Els {
@@ -159,7 +125,7 @@ func foldOutcome(h uint64, j scenario.Job, o AppOutcome) uint64 {
 // runAppProgram fans the program's application jobs across the fleet, one
 // private engine per run, warm coroutine pools per worker, results folded
 // in job order.
-func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
+func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions) *ProgramResult {
 	sp := prog.Spec
 	workers := resolveWorkers(opt.Workers, sp)
 	limit := runLimitFor(sp)
@@ -167,50 +133,22 @@ func runAppProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*Progra
 	if sp.Workload.Baseline {
 		pr.Baseline = seqTime(nbodyConfigFor(sp, scenario.Job{MemPct: 100}), sp.Machine.CPUs, limit)
 	}
-	var progress appProgress
-	if opt.Checkpoint != "" {
-		if _, err := scenario.LoadCheckpoint(opt.Checkpoint, prog.Key, &progress); err != nil {
-			return nil, err
-		}
-		if progress.Done < 0 || progress.Done > len(prog.Jobs) || len(progress.Outcomes) != progress.Done {
-			progress = appProgress{} // truncated payload: start over
-		}
-	}
 	n := len(prog.Jobs)
 	fprintf(w, "scenario %s: %d job(s) on %d worker(s)\n", sp.Name, n, workers)
-	if progress.Done > 0 {
-		fprintf(w, "  resuming from checkpoint %s: %d/%d jobs done\n", opt.Checkpoint, progress.Done, n)
-	}
-	if todo := n - progress.Done; todo > 0 {
-		base := progress.Done
-		pools := newWorkerPools(workers, todo)
+	if n > 0 {
+		pools := newWorkerPools(workers, n)
 		defer pools.Close()
-		sinceSave, every := 0, saveEvery(opt)
-		fleet.Run(workers, todo, func(job, worker int) AppOutcome {
-			return runAppJob(pools.get(worker), sp, prog.Jobs[base+job], limit)
+		fleet.Run(workers, n, func(job, worker int) AppOutcome {
+			return runAppJob(pools.get(worker), sp, prog.Jobs[job], limit)
 		}, func(res fleet.Result[AppOutcome]) {
-			j := prog.Jobs[base+res.Job]
-			progress.Outcomes = append(progress.Outcomes, res.Value)
-			progress.Done++
-			progress.Fleet = foldOutcome(progress.Fleet, j, res.Value)
+			j := prog.Jobs[res.Job]
+			pr.Outcomes = append(pr.Outcomes, res.Value)
+			pr.Fingerprint = foldOutcome(pr.Fingerprint, j, res.Value)
 			fprintf(w, "  %-28s w%-2d %s\n", j.Label, res.Worker, renderOutcome(pr.Baseline, res.Value))
-			if opt.Checkpoint != "" {
-				if sinceSave++; sinceSave >= every {
-					sinceSave = 0
-					_ = scenario.SaveCheckpoint(opt.Checkpoint, prog.Key, sp.Name, &progress)
-				}
-			}
 		})
-		if opt.Checkpoint != "" {
-			if err := scenario.SaveCheckpoint(opt.Checkpoint, prog.Key, sp.Name, &progress); err != nil {
-				return nil, err
-			}
-		}
 	}
-	pr.Outcomes = progress.Outcomes
-	pr.Fingerprint = progress.Fleet
-	fprintf(w, "scenario %s: %d/%d job(s) done, program fingerprint %016x\n", sp.Name, progress.Done, n, pr.Fingerprint)
-	return pr, nil
+	fprintf(w, "scenario %s: %d/%d job(s) done, program fingerprint %016x\n", sp.Name, len(pr.Outcomes), n, pr.Fingerprint)
+	return pr
 }
 
 // renderOutcome formats one application outcome for the streamed job line.
@@ -432,108 +370,36 @@ func assembleSeries(pr *ProgramResult, x func(scenario.Job) float64, y func(scen
 
 // --- chaos programs ---
 
-// SweepOptions parameterizes ChaosSweepOpts beyond the seed range.
-type SweepOptions struct {
-	// Workers is the fleet pool width (0 = auto).
-	Workers int
-	// Checkpoint, when non-empty, is a JSON file recording sweep progress.
-	// A sweep finding a checkpoint written by the same spec resumes after
-	// the seeds already done — re-invoking with a larger -seeds extends a
-	// finished sweep — and updates the file as results stream in, so an
-	// interrupted wide sweep loses at most the in-flight seeds. A
-	// checkpoint written by a different spec is rejected with an error.
-	Checkpoint string
-}
-
-// ChaosSweep runs seeds first..first+n-1 on a pool of workers (0 = one per
-// CPU) and returns the number of failed seeds. See ChaosSweepOpts.
-func ChaosSweep(w io.Writer, first, n int64, workers int) (failed int) {
-	ag, err := ChaosSweepOpts(w, first, n, SweepOptions{Workers: workers})
-	if err != nil {
-		panic("exp: chaos sweep: " + err.Error()) // no checkpoint in play: unreachable
-	}
-	return int(ag.Failed)
-}
-
-// ChaosSweepOpts is the chaos battery: the canonical chaos spec for the
-// seed range, compiled and run through the scenario pipeline. Each sweep
-// worker owns one warm RunContext recycled across all its seeds, and
+// ChaosSweep is the chaos battery: the canonical chaos spec for seeds
+// first..first+n-1, compiled and run through the scenario pipeline on a pool
+// of workers (0 = one per CPU). It returns the number of failed seeds. Each
+// sweep worker owns one warm RunContext recycled across all its seeds, and
 // results stream back in seed order — one line per seed, full violation
 // reports for failures, and a bounded-memory aggregate (rolling fleet
-// fingerprint, failure attribution by seed, merged latency histograms) that
-// doubles as the checkpoint payload.
+// fingerprint, failure attribution by seed, merged latency histograms).
 //
 // Each seed still executes on a private engine/trace/injector stack (one
 // per worker, recycled), so per-seed fingerprints are byte-identical to a
 // sequential sweep and to cold one-shot runs; only wall-clock and the
 // worker column vary with the pool.
-func ChaosSweepOpts(w io.Writer, first, n int64, opt SweepOptions) (*SweepAggregate, error) {
-	pr, err := RunSpec(w, scenario.ChaosSpec(first, n), RunOptions{Workers: opt.Workers, Checkpoint: opt.Checkpoint})
-	if err != nil {
-		return nil, err
-	}
-	return pr.Sweep, nil
+func ChaosSweep(w io.Writer, first, n int64, workers int) (failed int) {
+	prog := mustProgram(scenario.ChaosSpec(first, n))
+	return int(runChaosProgram(w, prog, RunOptions{Workers: workers}).Sweep.Failed)
 }
 
 // runChaosProgram drives a compiled chaos program: one warm RunContext per
-// worker, results folded in seed order, checkpoints keyed by the spec. A
-// sharded spec runs only its own seed subrange (the compiled jobs), under
-// its shard-suffixed resume key.
-func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*ProgramResult, error) {
+// worker, results folded in seed order.
+func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions) *ProgramResult {
 	sp := prog.Spec
 	f := sp.Faults
 	first, n := f.FirstSeed, f.Seeds
-	if sh := sp.Shard; sh != nil {
-		first, n = scenario.ShardRange(first, n, sh.Index, sh.Of)
-	}
 	workers := resolveWorkers(opt.Workers, sp)
 	mutate := chaosMutator(f.Ablate)
 	replayEvery := f.EffReplayEvery()
 	ag := &SweepAggregate{First: first}
-	if opt.Checkpoint != "" {
-		var saved SweepAggregate
-		found, err := scenario.LoadCheckpoint(opt.Checkpoint, prog.Key, &saved)
-		if err != nil {
-			return nil, err
-		}
-		if found && saved.First == first && saved.Done >= 0 {
-			ag = &saved
-		}
-	}
-	result := func() *ProgramResult {
-		return &ProgramResult{Prog: prog, Sweep: ag, Fingerprint: ag.Fleet}
-	}
-	if ag.Done > n {
-		// The checkpoint covers more than this request; report what was
-		// asked for without re-running (failure count reflects the full
-		// checkpointed range, which contains the requested one).
-		fprintf(w, "chaos sweep: seeds %d..%d already done per checkpoint %s (%d done, %d failed)\n",
-			first, first+n-1, opt.Checkpoint, ag.Done, ag.Failed)
-		return result(), nil
-	}
-	ag.Want = n
-	todo := n - ag.Done
 	fprintf(w, "chaos sweep: seeds %d..%d on %d worker(s), warm run contexts (auditor on, %s)\n",
 		first, first+n-1, workers, replayMode(replayEvery))
-	if ag.Done > 0 {
-		fprintf(w, "  resuming from checkpoint %s: %d/%d seeds done, %d failed; continuing at seed %d\n",
-			opt.Checkpoint, ag.Done, n, ag.Failed, first+ag.Done)
-	}
-	if todo == 0 {
-		if opt.Checkpoint != "" { // record Want even when nothing runs
-			if err := scenario.SaveCheckpoint(opt.Checkpoint, prog.Key, sp.Name, ag); err != nil {
-				return nil, err
-			}
-		}
-		reportSweep(w, ag, n, 0, 0)
-		return result(), nil
-	}
-	results, err := openResults(opt.Results)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	base := first + ag.Done
 	// One warm RunContext per worker: the slot is created by — and stays
 	// confined to — the worker goroutine that owns it, so successive seeds
 	// recycle the whole engine/kernel/chaos stack with no cross-worker
@@ -545,12 +411,11 @@ func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*Prog
 			rc.Close()
 		}
 	}()
-	sinceSave, every := 0, saveEvery(opt)
-	fleet.Run(workers, int(todo), func(job, worker int) SeedReport {
+	fleet.Run(workers, int(n), func(job, worker int) SeedReport {
 		if ctxs[worker] == nil {
 			ctxs[worker] = newRunContextFor(sp)
 		}
-		seed := base + int64(job)
+		seed := first + int64(job)
 		if mutate != nil {
 			return ctxs[worker].RunSeedReportMutated(seed, mutate)
 		}
@@ -570,31 +435,14 @@ func runChaosProgram(w io.Writer, prog *scenario.Program, opt RunOptions) (*Prog
 			fprintf(w, "%v", v.Error())
 		}
 		ag.fold(&rep)
-		results.add(&rep)
-		if opt.Checkpoint != "" {
-			if sinceSave++; sinceSave >= every {
-				sinceSave = 0
-				results.flush() // lines for checkpointed seeds are durable too
-				_ = scenario.SaveCheckpoint(opt.Checkpoint, prog.Key, sp.Name, ag)
-			}
-		}
 	})
-	if opt.Checkpoint != "" {
-		if err := scenario.SaveCheckpoint(opt.Checkpoint, prog.Key, sp.Name, ag); err != nil {
-			results.close()
-			return nil, err
-		}
-	}
-	if err := results.close(); err != nil {
-		return nil, err
-	}
-	reportSweep(w, ag, n, todo, time.Since(start))
-	return result(), nil
+	reportSweep(w, ag, time.Since(start))
+	return &ProgramResult{Prog: prog, Sweep: ag, Fingerprint: ag.Fleet}
 }
 
 // replaySeed decides whether one seed gets the replay-divergence second
 // run under the spec's replay period (see scenario.ParseReplay): a pure
-// function of the seed, so shards and resumed sweeps sample identically.
+// function of the seed, so every fleet width samples identically.
 func replaySeed(seed, every int64) bool {
 	switch {
 	case every == 1:
@@ -642,15 +490,14 @@ func chaosMutator(ablate string) func(*core.Kernel) {
 	return nil
 }
 
-// reportSweep renders the sweep tail: throughput over the seeds actually
-// run this session against the total requested range, the rolling fleet
+// reportSweep renders the sweep tail: throughput, the rolling fleet
 // fingerprint, merged latency quantiles, and failures attributed by seed.
-func reportSweep(w io.Writer, ag *SweepAggregate, n, ran int64, elapsed time.Duration) {
-	if ran > 0 && elapsed > 0 {
+func reportSweep(w io.Writer, ag *SweepAggregate, elapsed time.Duration) {
+	if elapsed > 0 {
 		fprintf(w, "chaos sweep: %d/%d seeds done (%d run in %.2fs, %.1f seeds/sec); fleet fingerprint %016x\n",
-			ag.Done, n, ran, elapsed.Seconds(), float64(ran)/elapsed.Seconds(), ag.Fleet)
+			ag.Done, ag.Done, ag.Done, elapsed.Seconds(), float64(ag.Done)/elapsed.Seconds(), ag.Fleet)
 	} else {
-		fprintf(w, "chaos sweep: %d/%d seeds done; fleet fingerprint %016x\n", ag.Done, n, ag.Fleet)
+		fprintf(w, "chaos sweep: %d/%d seeds done; fleet fingerprint %016x\n", ag.Done, ag.Done, ag.Fleet)
 	}
 	if ag.UpcallDispatch.N > 0 {
 		fprintf(w, "  latency (merged over first runs): upcall-dispatch p50=%dns p99=%dns  ready-wait p50=%dns p99=%dns  block-unblock p50=%dns p99=%dns\n",

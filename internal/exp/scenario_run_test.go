@@ -2,7 +2,6 @@ package exp
 
 import (
 	"io"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -45,42 +44,7 @@ func TestScenarioChaosMatchesPinnedTable(t *testing.T) {
 	}
 }
 
-// miniMixSpec is a seconds-cheap chaos spec (one seed, 50ms storm) for
-// checkpoint-plumbing tests; the verdict does not matter, only that a run
-// completes and writes its checkpoint.
-func miniMixSpec(name string) scenario.Spec {
-	return scenario.Spec{
-		Name:     name,
-		Workload: scenario.Workload{Kind: scenario.KindMix},
-		Faults:   &scenario.Faults{FirstSeed: 1, Seeds: 1, StormMs: 50, DrainMs: 50},
-	}
-}
-
-// TestScenarioCheckpointRejectsForeignSpec pins the resume-safety contract:
-// a run pointed at a checkpoint written by a *different* spec must refuse to
-// run rather than resume (or silently overwrite) someone else's progress.
-func TestScenarioCheckpointRejectsForeignSpec(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "scenario.json")
-	if _, err := RunSpec(io.Discard, miniMixSpec("mini-a"), RunOptions{Workers: 1, Checkpoint: ck}); err != nil {
-		t.Fatalf("seeding the checkpoint: %v", err)
-	}
-	_, err := RunSpec(io.Discard, miniMixSpec("mini-b"), RunOptions{Workers: 1, Checkpoint: ck})
-	if err == nil {
-		t.Fatal("a foreign spec's checkpoint was accepted")
-	}
-	if !strings.Contains(err.Error(), "different spec") || !strings.Contains(err.Error(), "mini-a") {
-		t.Fatalf("rejection should name the conflict and the writing spec, got: %v", err)
-	}
-	// An application spec against the same file is rejected identically.
-	app := miniAppSpec("mini-c")
-	if _, err := RunSpec(io.Discard, app, RunOptions{Workers: 1, Checkpoint: ck}); err == nil ||
-		!strings.Contains(err.Error(), "different spec") {
-		t.Fatalf("app program accepted a chaos spec's checkpoint: %v", err)
-	}
-}
-
-// miniAppSpec is a fast four-job N-body scenario (tiny problem shape) for
-// app-program checkpoint tests.
+// miniAppSpec is a fast four-job N-body scenario (tiny problem shape).
 func miniAppSpec(name string) scenario.Spec {
 	return scenario.Spec{
 		Name:     name,
@@ -130,49 +94,30 @@ func TestScenarioHonorsMachineCPUs(t *testing.T) {
 	}
 }
 
-// TestScenarioAppCheckpointResume pins checkpoint/resume for application
-// programs (the satellite generalizing the chaos sweep's resume to any
-// compiled sweep): a finished run's checkpoint makes a re-invocation run
-// zero jobs yet report the identical program fingerprint and outcomes.
-func TestScenarioAppCheckpointResume(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "app.json")
-	var first, resumed strings.Builder
-	pr1, err := RunSpec(&first, miniAppSpec("mini-app"), RunOptions{Workers: 2, Checkpoint: ck})
+// TestScenarioAppWidthIndependent pins that an application program's
+// outcomes and rolling fingerprint fold in job order: a width-2 run and a
+// width-1 run of the same spec execute every job and agree exactly.
+func TestScenarioAppWidthIndependent(t *testing.T) {
+	var wide strings.Builder
+	pr1, err := RunSpec(&wide, miniAppSpec("mini-app"), RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobLine := regexp.MustCompile(` w\d`) // the per-job worker column
-	if len(pr1.Outcomes) != 4 || len(jobLine.FindAllString(first.String(), -1)) != 4 {
-		t.Fatalf("first run should execute all 4 jobs:\n%s", first.String())
+	if len(pr1.Outcomes) != 4 || len(jobLine.FindAllString(wide.String(), -1)) != 4 {
+		t.Fatalf("run should execute all 4 jobs:\n%s", wide.String())
 	}
-	pr2, err := RunSpec(&resumed, miniAppSpec("mini-app"), RunOptions{Workers: 2, Checkpoint: ck})
+	pr2, err := RunSpec(io.Discard, miniAppSpec("mini-app"), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resumed.String(), "resuming from checkpoint") ||
-		jobLine.MatchString(resumed.String()) {
-		t.Fatalf("resumed run re-ran finished jobs:\n%s", resumed.String())
-	}
 	if pr2.Fingerprint != pr1.Fingerprint {
-		t.Fatalf("resumed fingerprint %016x != first run %016x", pr2.Fingerprint, pr1.Fingerprint)
-	}
-	if len(pr2.Outcomes) != len(pr1.Outcomes) {
-		t.Fatalf("resumed run restored %d outcomes, want %d", len(pr2.Outcomes), len(pr1.Outcomes))
+		t.Fatalf("width-1 fingerprint %016x != width-2 %016x", pr2.Fingerprint, pr1.Fingerprint)
 	}
 	for i := range pr1.Outcomes {
 		if len(pr2.Outcomes[i].Els) != len(pr1.Outcomes[i].Els) ||
 			pr2.Outcomes[i].Els[0] != pr1.Outcomes[i].Els[0] {
-			t.Fatalf("outcome %d drifted across resume: %+v vs %+v", i, pr2.Outcomes[i], pr1.Outcomes[i])
+			t.Fatalf("outcome %d differs across widths: %+v vs %+v", i, pr2.Outcomes[i], pr1.Outcomes[i])
 		}
-	}
-
-	// A fresh run without the checkpoint reproduces the same fingerprint:
-	// resume identity and from-scratch identity agree.
-	pr3, err := RunSpec(io.Discard, miniAppSpec("mini-app"), RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr3.Fingerprint != pr1.Fingerprint {
-		t.Fatalf("width-1 fresh run fingerprint %016x != checkpointed run %016x", pr3.Fingerprint, pr1.Fingerprint)
 	}
 }

@@ -2,9 +2,7 @@ package exp
 
 import (
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 
 	"schedact/internal/core"
@@ -98,48 +96,4 @@ func TestWarmRunSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warm run allocates %.0f/run steady-state, ceiling %d", avg, ceiling)
 	}
 	t.Logf("warm run steady-state allocations: %.0f/run (ceiling %d)", avg, ceiling)
-}
-
-// TestChaosSweepCheckpointResume pins the sweep's checkpoint/resume
-// contract: sweeping seeds 1..3 with a checkpoint, then re-invoking for
-// 1..6, runs only 4..6 and ends with the same rolling fleet fingerprint,
-// failure count, and merged histograms as a one-shot 1..6 sweep.
-func TestChaosSweepCheckpointResume(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "sweep.json")
-	var partial, resumed, oneshot strings.Builder
-
-	agA, err := ChaosSweepOpts(&partial, 1, 3, SweepOptions{Workers: 2, Checkpoint: ck})
-	if err != nil || agA.Done != 3 || agA.Failed != 0 {
-		t.Fatalf("partial sweep: err=%v done=%d failed=%d\n%s", err, agA.Done, agA.Failed, partial.String())
-	}
-	agB, err := ChaosSweepOpts(&resumed, 1, 6, SweepOptions{Workers: 2, Checkpoint: ck})
-	if err != nil || agB.Done != 6 || agB.Failed != 0 {
-		t.Fatalf("resumed sweep: err=%v done=%d failed=%d\n%s", err, agB.Done, agB.Failed, resumed.String())
-	}
-	if !strings.Contains(resumed.String(), "resuming from checkpoint") ||
-		strings.Contains(resumed.String(), "seed   1 ") {
-		t.Fatalf("resumed sweep re-ran checkpointed seeds:\n%s", resumed.String())
-	}
-
-	agC, err := ChaosSweepOpts(&oneshot, 1, 6, SweepOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agB.Fleet != agC.Fleet {
-		t.Fatalf("fleet fingerprint: resumed %016x != one-shot %016x", agB.Fleet, agC.Fleet)
-	}
-	if agB.UpcallDispatch != agC.UpcallDispatch || agB.ReadyWait != agC.ReadyWait ||
-		agB.BlockUnblock != agC.BlockUnblock {
-		t.Fatal("merged latency histograms differ between resumed and one-shot sweeps")
-	}
-
-	// A third invocation finds everything done and runs nothing.
-	var done strings.Builder
-	agD, err := ChaosSweepOpts(&done, 1, 6, SweepOptions{Workers: 2, Checkpoint: ck})
-	if err != nil || agD.Done != 6 {
-		t.Fatalf("finished sweep re-ran: err=%v done=%d\n%s", err, agD.Done, done.String())
-	}
-	if strings.Contains(done.String(), "  seed ") {
-		t.Fatalf("finished sweep re-ran seeds:\n%s", done.String())
-	}
 }

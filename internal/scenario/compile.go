@@ -30,8 +30,6 @@ type Program struct {
 	Spec Spec
 	// Hash identifies the full spec (reports, caching).
 	Hash uint64
-	// Key is the checkpoint resume identity (see ResumeKey).
-	Key  string
 	Jobs []Job
 }
 
@@ -48,15 +46,11 @@ func Compile(s Spec) (*Program, error) {
 	if err := Validate(s); err != nil {
 		return nil, err
 	}
-	p := &Program{Spec: s, Hash: Hash(s), Key: ResumeKey(s)}
+	p := &Program{Spec: s, Hash: Hash(s)}
 	if s.Workload.Kind == KindMix {
 		f := s.Faults
-		first, seeds := f.FirstSeed, f.Seeds
-		if sh := s.Shard; sh != nil {
-			first, seeds = ShardRange(first, seeds, sh.Index, sh.Of)
-		}
-		for i := int64(0); i < seeds; i++ {
-			seed := first + i
+		for i := int64(0); i < f.Seeds; i++ {
+			seed := f.FirstSeed + i
 			p.Jobs = append(p.Jobs, Job{
 				Index: len(p.Jobs),
 				Label: fmt.Sprintf("seed %d", seed),

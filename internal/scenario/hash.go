@@ -1,57 +1,18 @@
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // Hash returns the spec's identity as a 64-bit FNV-1a over its canonical
 // JSON encoding. It covers every field — including presentation-only ones
 // like Description — so any textual change moves it (struct field order
 // fixes the encoding, so the hash is stable across processes and
-// platforms). ResumeKey is the compile-relevant identity.
+// platforms).
 func Hash(s Spec) uint64 {
 	raw, err := json.Marshal(s)
 	if err != nil {
 		panic("scenario: hash: " + err.Error())
 	}
 	return fnv64(raw)
-}
-
-// ResumeKey returns the checkpoint identity of a spec: the hash with the
-// extendable sweep extent, the wall-clock-only worker hint, and the
-// cosmetic description zeroed out. A checkpoint written under one key may
-// only resume a spec with the same key; growing faults.seeds (extending a
-// finished sweep), changing limits.workers, or editing the description
-// keeps the key, while any change that would alter per-job results —
-// workload, machine, binding, seed origin, storm shape — moves it, and the
-// runner rejects the stale checkpoint instead of silently merging
-// incompatible results.
-//
-// A sharded spec's key is "<base>#<index>/<of>" where base is the hash
-// with the shard cleared — shards of one sweep share a base (so a merge
-// can verify they belong together) but no shard checkpoint can resume
-// another shard. Unlike the unsharded key, the base of a sharded spec
-// keeps faults.seeds: shard subranges are a function of the total width,
-// so growing a sharded sweep must invalidate its shard checkpoints rather
-// than resume them against shifted ranges.
-func ResumeKey(s Spec) string {
-	shard := s.Shard
-	s.Shard = nil
-	if s.Faults != nil {
-		f := *s.Faults
-		if shard == nil {
-			f.Seeds = 0
-		}
-		s.Faults = &f
-	}
-	s.Limits.Workers = 0
-	s.Description = ""
-	key := fmt.Sprintf("%016x", Hash(s))
-	if shard != nil {
-		key += fmt.Sprintf("%s%d/%d", shardKeySep, shard.Index, shard.Of)
-	}
-	return key
 }
 
 // fnv64 is FNV-1a over raw.

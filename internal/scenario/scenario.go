@@ -7,12 +7,11 @@
 // turns each of them — and any scenario a user can describe — into a config
 // file instead of a bespoke Go program. The experiment harness
 // (internal/exp) interprets compiled programs on warm run contexts with
-// streaming aggregation, checkpoint/resume, and deterministic
-// width-independent fingerprints; the canonical batteries (Figure 1/2,
-// Table 5, the ablation grid, the chaos sweep) are themselves built-in
-// specs compiled through this exact path, so the spec pipeline is pinned by
-// the same fingerprint and golden-trace oracles as the hand-written
-// batteries it replaced.
+// streaming aggregation and deterministic width-independent fingerprints;
+// the canonical batteries (Figure 1/2, Table 5, the ablation grid, the chaos
+// sweep) are themselves built-in specs compiled through this exact path, so
+// the spec pipeline is pinned by the same fingerprint and golden-trace
+// oracles as the hand-written batteries it replaced.
 //
 // The package is pure data and policy: it imports no simulation layer, so
 // specs can be validated, hashed, and compiled anywhere (tests, tools, a
@@ -78,7 +77,7 @@ const (
 // means "the canonical default"; Validate reports structural errors with
 // the offending field path, and Compile lowers a valid Spec into jobs.
 type Spec struct {
-	// Name identifies the scenario (checkpoint keys, -list, reports).
+	// Name identifies the scenario (-list, reports).
 	Name string `json:"name"`
 	// Description is the one-line summary printed by saexp -list.
 	Description string `json:"description,omitempty"`
@@ -91,22 +90,6 @@ type Spec struct {
 	// workload only).
 	Faults *Faults `json:"faults,omitempty"`
 	Limits Limits  `json:"limits,omitempty"`
-	// Shard, when non-nil, selects one contiguous slice of a mix sweep's
-	// seed range (shard Index of Of); Compile lowers only that slice, and
-	// the shard identity folds into ResumeKey so shard checkpoints cannot
-	// cross-resume. Shards of the same sweep merge with exp.MergeShards.
-	Shard *Shard `json:"shard,omitempty"`
-}
-
-// Shard identifies one slice of a sharded mix sweep: shards partition
-// faults.seeds into Of contiguous subranges (sizes differing by at most
-// one, earlier shards taking the remainder), and shard Index runs the
-// Index-th of them. Valid only for KindMix.
-type Shard struct {
-	// Index is the 1-based shard number, 1..Of.
-	Index int `json:"index"`
-	// Of is the total shard count the sweep is split into.
-	Of int `json:"of"`
 }
 
 // Workload describes what the simulated machine runs.
@@ -194,7 +177,7 @@ type Faults struct {
 	// "off" replays none. The fleet fingerprint folds only the first run,
 	// so sampling moves no fingerprint — only how many seeds would catch a
 	// nondeterminism leak. The replay decision is a pure function of the
-	// seed, so shards and resumed sweeps sample identically.
+	// seed, so every fleet width samples identically.
 	Replay string `json:"replay,omitempty"`
 }
 

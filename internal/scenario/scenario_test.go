@@ -91,69 +91,3 @@ func TestParseStrict(t *testing.T) {
 		t.Fatalf("type-mismatch error missing field path: %v", err)
 	}
 }
-
-// TestBuiltinResumeKeysPinned pins every built-in spec's checkpoint
-// identity, so a schema change that alters the canonical encoding (a new
-// field without omitempty, a renamed tag) cannot orphan in-progress
-// checkpoints unnoticed.
-func TestBuiltinResumeKeysPinned(t *testing.T) {
-	want := map[string]string{
-		"alloc":      "5d0be4354fbd872a",
-		"chaos64":    "81bf942fe2ae7726",
-		"fig1":       "3869b206ad6b4503",
-		"fig2":       "86eaa2eadfdd96b0",
-		"fig2tuned":  "89b4905b43030c84",
-		"hysteresis": "665975d95bc9e998",
-		"table5":     "5860c797a3dc5a6e",
-	}
-	bs := Builtins()
-	if len(bs) != len(want) {
-		t.Fatalf("%d built-ins, %d pinned keys", len(bs), len(want))
-	}
-	for _, s := range bs {
-		if got := ResumeKey(s); got != want[s.Name] {
-			t.Errorf("builtin %q: resume key %s, pinned %s", s.Name, got, want[s.Name])
-		}
-	}
-}
-
-// TestResumeKey pins the resume-identity contract: extending the sweep or
-// retuning workers keeps the key; anything result-bearing moves it.
-func TestResumeKey(t *testing.T) {
-	base := ChaosSpec(1, 64)
-	key := ResumeKey(base)
-
-	same := []func(Spec) Spec{
-		func(s Spec) Spec { s.Faults.Seeds = 4096; return s },    // wider sweep
-		func(s Spec) Spec { s.Limits.Workers = 13; return s },    // wall-clock only
-		func(s Spec) Spec { s.Description = "edited"; return s }, // cosmetic
-	}
-	for i, mut := range same {
-		s := ChaosSpec(1, 64) // fresh copy: Faults is a pointer
-		if got := ResumeKey(mut(s)); got != key {
-			t.Errorf("mutation %d should preserve the resume key: %s != %s", i, got, key)
-		}
-	}
-
-	diff := []func(Spec) Spec{
-		func(s Spec) Spec { s.Faults.FirstSeed = 2; return s },
-		func(s Spec) Spec { s.Faults.StormMs = 1000; return s },
-		func(s Spec) Spec { s.Faults.Ablate = AblateNoGrant; return s },
-		func(s Spec) Spec { s.Machine.CPUs = 4; return s },
-		func(s Spec) Spec { s.Name = "other"; return s },
-		func(s Spec) Spec { s.Limits.RunLimitMs = 1; return s },
-	}
-	for i, mut := range diff {
-		s := ChaosSpec(1, 64)
-		if got := ResumeKey(mut(s)); got == key {
-			t.Errorf("mutation %d should move the resume key", i)
-		}
-	}
-
-	// ResumeKey must not mutate its argument (Faults is shared via pointer).
-	s := ChaosSpec(1, 64)
-	_ = ResumeKey(s)
-	if s.Faults.Seeds != 64 {
-		t.Fatalf("ResumeKey mutated the spec: seeds = %d", s.Faults.Seeds)
-	}
-}

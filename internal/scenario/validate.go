@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -30,9 +31,10 @@ func (v ValidationError) Error() string {
 // MaxCPUs bounds the simulated machine size.
 const MaxCPUs = 64
 
-// MaxSeeds bounds one compiled sweep's width (the fleet streams results, so
-// this is a sanity rail against typos, not a memory limit).
-const MaxSeeds = 1 << 24
+// MaxSeeds bounds one compiled sweep's width. It is a memory limit: the
+// fleet streams results, but Compile materialises one labelled Job per seed
+// before the first seed runs, ~32 MiB at this bound.
+const MaxSeeds = 1 << 16
 
 // Validate checks a Spec for structural errors and returns nil or a
 // ValidationError listing every offending field by path.
@@ -175,6 +177,9 @@ func Validate(s Spec) error {
 		f := s.Faults
 		if f.FirstSeed < 0 {
 			bad("faults.first_seed", "must be >= 0 (got %d)", f.FirstSeed)
+		} else if f.Seeds >= 1 && f.FirstSeed > math.MaxInt64-f.Seeds+1 {
+			bad("faults.first_seed", "must be <= %d so the last of %d seeds fits in int64 (got %d)",
+				math.MaxInt64-f.Seeds+1, f.Seeds, f.FirstSeed)
 		}
 		if f.Seeds < 1 || f.Seeds > MaxSeeds {
 			bad("faults.seeds", "must be 1..%d (got %d)", MaxSeeds, f.Seeds)
@@ -192,20 +197,6 @@ func Validate(s Spec) error {
 		}
 		if _, err := ParseReplay(f.Replay); err != nil {
 			bad("faults.replay", "%v", err)
-		}
-	}
-
-	// Shard.
-	if sh := s.Shard; sh != nil {
-		switch {
-		case kind != KindMix:
-			bad("shard", "only mix sweeps shard (contiguous seed subranges)")
-		case sh.Of < 1:
-			bad("shard.of", "must be >= 1 (got %d)", sh.Of)
-		case sh.Index < 1 || sh.Index > sh.Of:
-			bad("shard.index", "must be 1..shard.of=%d (got %d)", sh.Of, sh.Index)
-		case s.Faults != nil && s.Faults.Seeds >= 1 && int64(sh.Of) > s.Faults.Seeds:
-			bad("shard.of", "more shards than seeds (%d > %d)", sh.Of, s.Faults.Seeds)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,9 @@ func TestValidateMalformed(t *testing.T) {
 			"faults", "mix"},
 		{"zero seeds", mix(func(s *Spec) { s.Faults.Seeds = 0 }), "faults.seeds", "1.."},
 		{"negative first seed", mix(func(s *Spec) { s.Faults.FirstSeed = -1 }), "faults.first_seed", ">= 0"},
+		{"seed range overflows int64", mix(func(s *Spec) { s.Faults.FirstSeed, s.Faults.Seeds = math.MaxInt64, 2 }),
+			"faults.first_seed", "fits in int64"},
+		{"seeds past MaxSeeds", mix(func(s *Spec) { s.Faults.Seeds = 65537 }), "faults.seeds", "1..65536"},
 		{"bad ablate", mix(func(s *Spec) { s.Faults.Ablate = "rm-rf" }), "faults.ablate", `"rm-rf"`},
 		{"negative run limit", nb(func(s *Spec) { s.Limits.RunLimitMs = -1 }), "limits.run_limit_ms", ">= 0"},
 		{"workers out of range", nb(func(s *Spec) { s.Limits.Workers = -2 }), "limits.workers", "1024"},
@@ -132,5 +136,114 @@ func TestValidateAggregates(t *testing.T) {
 	}
 	if !strings.Contains(verr.Error(), "invalid scenario: ") {
 		t.Fatalf("joined message malformed: %v", verr)
+	}
+}
+
+// TestValidateShardAndReplay covers the two fields that once sat beside each
+// other in the mix schema. faults.replay is still validated: bad modes are
+// rejected by path and every good mode is accepted. The shard field is gone
+// from the schema, so a spec written for the old shard pipeline must be
+// refused by strict Parse rather than silently run as the whole sweep.
+func TestValidateShardAndReplay(t *testing.T) {
+	mix := func(mut func(*Spec)) Spec {
+		s := ChaosSpec(1, 8)
+		mut(&s)
+		return s
+	}
+	withShard := func(s Spec, shard string) []byte {
+		raw := Marshal(s)
+		i := strings.LastIndexByte(string(raw), '}')
+		return append(raw[:i:i], []byte(`,"shard":`+shard+"}")...)
+	}
+	shards := []struct {
+		name string
+		raw  []byte
+	}{
+		{"shard on nbody", withShard(Fig1(), `{"index":1,"of":2}`)},
+		{"shard of zero", withShard(ChaosSpec(1, 8), `{"index":1,"of":0}`)},
+		{"shard index zero", withShard(ChaosSpec(1, 8), `{"index":0,"of":4}`)},
+		{"shard index past of", withShard(ChaosSpec(1, 8), `{"index":5,"of":4}`)},
+		{"more shards than seeds", withShard(ChaosSpec(1, 8), `{"index":1,"of":9}`)},
+	}
+	for _, tc := range shards {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse(tc.raw); err == nil || !strings.Contains(err.Error(), `unknown field "shard"`) {
+				t.Fatalf("Parse(%s) = %v, want an unknown-field error for shard", tc.raw, err)
+			}
+		})
+	}
+	replays := []struct {
+		name string
+		spec Spec
+		msg  string
+	}{
+		{"replay gibberish", mix(func(s *Spec) { s.Faults.Replay = "sometimes" }), "unknown replay mode"},
+		{"replay sample zero", mix(func(s *Spec) { s.Faults.Replay = "sample:0" }), "sample period"},
+		{"replay sample junk", mix(func(s *Spec) { s.Faults.Replay = "sample:x" }), "sample period"},
+	}
+	for _, tc := range replays {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Validate(tc.spec)
+			verr, ok := err.(ValidationError)
+			if !ok {
+				t.Fatalf("want a ValidationError, got %T %v", err, err)
+			}
+			for _, fe := range verr {
+				if fe.Path == "faults.replay" && strings.Contains(fe.Msg, tc.msg) {
+					return
+				}
+			}
+			t.Fatalf("no error at path faults.replay containing %q; got: %v", tc.msg, err)
+		})
+	}
+	for _, mode := range []string{ReplayFull, ReplayOff, "sample:3"} {
+		if err := Validate(mix(func(s *Spec) { s.Faults.Replay = mode })); err != nil {
+			t.Errorf("replay %q rejected: %v", mode, err)
+		}
+	}
+}
+
+// TestValidateAccepts pins the seed-range edges Validate must still let
+// through: the largest first seed whose range fits in int64, and a sweep
+// exactly MaxSeeds wide.
+func TestValidateAccepts(t *testing.T) {
+	mix := func(mut func(*Spec)) Spec {
+		s := ChaosSpec(1, 8)
+		mut(&s)
+		return s
+	}
+	for _, s := range []Spec{
+		mix(func(s *Spec) { s.Faults.FirstSeed, s.Faults.Seeds = math.MaxInt64-1, 2 }),
+		mix(func(s *Spec) { s.Faults.Seeds = MaxSeeds }),
+	} {
+		if err := Validate(s); err != nil {
+			t.Errorf("valid spec rejected: %v", err)
+		}
+	}
+}
+
+// TestParseReplayPeriods pins the mode → period mapping the runner relies on
+// (the replay decision must be a pure function of the seed, so every fleet
+// width agrees on the period).
+func TestParseReplayPeriods(t *testing.T) {
+	cases := []struct {
+		mode  string
+		every int64
+	}{
+		{"", 1}, {ReplayFull, 1}, {ReplayOff, 0}, {"sample:1", 1}, {"sample:4", 4}, {"sample:1000", 1000},
+	}
+	for _, tc := range cases {
+		every, err := ParseReplay(tc.mode)
+		if err != nil || every != tc.every {
+			t.Errorf("ParseReplay(%q) = (%d, %v), want (%d, nil)", tc.mode, every, err, tc.every)
+		}
+	}
+	f := &Faults{Replay: "sample:4"}
+	if f.EffReplayEvery() != 4 {
+		t.Errorf("EffReplayEvery(sample:4) = %d", f.EffReplayEvery())
+	}
+	var nilFaults *Faults
+	if nilFaults.EffReplayEvery() != 1 {
+		t.Error("nil Faults should default to full replay")
 	}
 }

@@ -4,9 +4,7 @@ import "testing"
 
 // engineUnderTest is one Engine implementation wired into the compliance
 // suite. run builds an engine with opts, hands it to scenario, and tears it
-// down. The replay variant runs scenario twice: once on a recorded reference
-// engine, then again on a ReplayEngine seeded with that recording — so every
-// compliance scenario doubles as a lockstep record/replay check.
+// down.
 type engineUnderTest struct {
 	name string
 	run  func(t *testing.T, opts []Option, scenario func(e Engine))
@@ -25,15 +23,6 @@ var enginesUnderTest = []engineUnderTest{
 		p := NewPool()
 		defer p.Close()
 		e := p.NewEngine(opts...)
-		defer e.Close()
-		scenario(e)
-	}},
-	{"replay", func(t *testing.T, opts []Option, scenario func(e Engine)) {
-		ref := NewEngine(opts...)
-		rec := Record(ref)
-		scenario(ref)
-		ref.Close()
-		e := NewReplayEngine(rec.Recording(), opts...)
 		defer e.Close()
 		scenario(e)
 	}},
@@ -117,8 +106,6 @@ func TestComplianceStepFiresOneEvent(t *testing.T) {
 
 func TestComplianceCancelSuppressesEvent(t *testing.T) {
 	onEveryEngine(t, nil, func(t *testing.T, e Engine) {
-		// The recorded reference run cancels this event, so the tape never
-		// contains it and the replay must cancel it the same way.
 		h := e.At(Time(10*Microsecond), "doomed", func() { t.Error("cancelled event fired") })
 		e.At(Time(20*Microsecond), "after", func() {})
 		if !h.Active() {
@@ -228,9 +215,8 @@ func TestCompliancePastSchedulePanics(t *testing.T) {
 	})
 }
 
-// TestComplianceStatsReproduce pins that the organic counters — everything
-// except queue-placement Overflows — agree across implementations driving
-// the same scenario.
+// TestComplianceStatsReproduce pins that the counters agree across the
+// pooled and unpooled engines driving the same scenario.
 func TestComplianceStatsReproduce(t *testing.T) {
 	scenario := func(e Engine) {
 		c := e.Go("w", func(c *Coroutine) {

@@ -74,14 +74,8 @@ func (p *CoroutinePanic) Error() string {
 //     hand-offs actually paid, while Stats().LogicalResumes counts them all;
 //   - on a pooled engine (Pool.NewEngine) the hosting goroutine comes from a
 //     warm pool and is re-armed for the next Engine.Go when the body ends.
-//
-// The machinery is engine-independent: a coroutine routes its queue
-// touches (scheduling resumes, the elision checks) through the small impl
-// seam, so it runs identically on the reference engine and the replay
-// engine.
 type Coroutine struct {
-	eng    impl            // owning engine (queue operations)
-	b      *engineBase     // the engine's shared state, cached off the hot path
+	eng    *SeqEngine // owning engine
 	name   string
 	hand   chan struct{}   // the hand-off token channel
 	spare  *spare          // pooled goroutine hosting the body, nil when unpooled
@@ -96,14 +90,14 @@ type Coroutine struct {
 // Go creates a coroutine that will execute fn. The coroutine does not start
 // until its first Unpark; this lets schedulers create execution contexts and
 // dispatch them later.
-func (b *engineBase) Go(name string, fn func(*Coroutine)) *Coroutine {
-	if b.closed {
+func (e *SeqEngine) Go(name string, fn func(*Coroutine)) *Coroutine {
+	if e.closed {
 		panic("sim: Go on closed engine")
 	}
-	c := &Coroutine{eng: b.self, b: b, name: name}
-	b.live[c] = struct{}{}
-	if b.pool != nil {
-		b.pool.launch(c, fn)
+	c := &Coroutine{eng: e, name: name}
+	e.live[c] = struct{}{}
+	if e.pool != nil {
+		e.pool.launch(c, fn)
 	} else {
 		c.hand = make(chan struct{})
 		go c.run(fn)
@@ -118,7 +112,7 @@ func (c *Coroutine) run(fn func(*Coroutine)) {
 	<-c.hand // wait for first dispatch (or kill)
 	c.body(fn)
 	c.state = coDone
-	delete(c.b.live, c)
+	delete(c.eng.live, c)
 	c.hand <- struct{}{} // final hand-off back to the engine
 }
 
@@ -142,12 +136,12 @@ func (c *Coroutine) body(fn func(*Coroutine)) {
 // retire finishes the engine side of a coroutine's final hand-off: return
 // the hosting goroutine to the pool and re-raise any panic that unwound the
 // body. No-op while the coroutine is merely parked.
-func (b *engineBase) retire(c *Coroutine) {
+func (e *SeqEngine) retire(c *Coroutine) {
 	if c.state != coDone {
 		return
 	}
 	if c.spare != nil {
-		b.pool.put(c.spare)
+		e.pool.put(c.spare)
 		c.spare = nil
 	}
 	if esc := c.escape; esc != nil {
@@ -180,7 +174,7 @@ func (c *Coroutine) Running() bool { return c.state == coRunning }
 // Park hands control back to the engine until some event calls Unpark.
 // It must be called from within the coroutine itself.
 func (c *Coroutine) Park(reason string) {
-	if c.b.cur != c {
+	if c.eng.cur != c {
 		panic(fmt.Sprintf("sim: Park(%q) on %s called from outside the coroutine", reason, c.name))
 	}
 	c.parkReason = reason
@@ -212,18 +206,17 @@ func (c *Coroutine) await() {
 // state are byte-identical to the parked path; only the goroutine rendezvous
 // are skipped.
 func (c *Coroutine) Sleep(d Duration) {
-	b := c.b
-	if b.cur != c {
+	e := c.eng
+	if e.cur != c {
 		panic(fmt.Sprintf("sim: Sleep on %s called from outside the coroutine", c.name))
 	}
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative Sleep %v on %s", d, c.name))
 	}
 	c.resumeScheduled = true
-	h := c.eng.scheduleEvent(b.now.Add(d), kindWake, c.name, nil, c)
-	ev := h.ev
-	if !b.noElide && ev.t <= b.limit && c.eng.nextEvent() == ev {
-		c.eng.consumeNext(ev, c)
+	ev := e.schedule(e.now.Add(d), kindWake, c.name, nil, c).ev
+	if !e.noElide && ev.t <= e.limit && e.tl.peek() == ev {
+		e.consume(ev, c)
 		return
 	}
 	c.Park("sleep")
@@ -245,15 +238,15 @@ func (c *Coroutine) Sleep(d Duration) {
 // this only matters to code doing goroutine-identity tricks, which simulated
 // code must not do.
 func (c *Coroutine) InlineCharge(h Handle, reason string) bool {
-	e, b := c.eng, c.b
-	if b.cur != c {
+	e := c.eng
+	if e.cur != c {
 		panic(fmt.Sprintf("sim: InlineCharge(%q) on %s called from outside the coroutine", reason, c.name))
 	}
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || ev.co != nil {
 		return false
 	}
-	if b.noElide || ev.t > b.limit || e.nextEvent() != ev {
+	if e.noElide || ev.t > e.limit || e.tl.peek() != ev {
 		return false
 	}
 	// Park observably, then fire the callback exactly as the engine loop
@@ -261,14 +254,14 @@ func (c *Coroutine) InlineCharge(h Handle, reason string) bool {
 	// engine for the duration.
 	c.parkReason = reason
 	c.state = coParked
-	b.cur = nil
-	e.fireNext(ev)
+	e.cur = nil
+	e.fire(ev)
 	if c.resumeScheduled {
-		if next := e.nextEvent(); next != nil && next.co == c && next.t <= b.limit {
+		if next := e.tl.peek(); next != nil && next.co == c && next.t <= e.limit {
 			// The callback rescheduled us and nothing fires in between:
 			// consume our own resume in place as well.
-			e.consumeNext(next, c)
-			b.cur = c
+			e.consume(next, c)
+			e.cur = c
 			c.state = coRunning
 			c.parkReason = ""
 			return true
@@ -286,7 +279,7 @@ func (c *Coroutine) InlineCharge(h Handle, reason string) bool {
 // callers own the lifecycle of the contexts they dispatch, and a double
 // unpark always indicates a scheduler bug.
 func (c *Coroutine) Unpark() {
-	c.UnparkAt(c.b.now)
+	c.UnparkAt(c.eng.now)
 }
 
 // UnparkAt schedules the coroutine to resume at time t.
@@ -301,7 +294,7 @@ func (c *Coroutine) UnparkAt(t Time) {
 		panic(fmt.Sprintf("sim: duplicate Unpark on coroutine %s", c.name))
 	}
 	c.resumeScheduled = true
-	c.eng.scheduleEvent(t, kindResume, c.name, nil, c)
+	c.eng.schedule(t, kindResume, c.name, nil, c)
 }
 
 // Destroy unwinds a parked or never-started coroutine immediately, running no
@@ -320,11 +313,11 @@ func (c *Coroutine) UnparkAt(t Time) {
 // a running coroutine panics; a done coroutine (or one on a closed engine)
 // is a no-op.
 func (c *Coroutine) Destroy() {
-	b := c.b
-	if b.closed || c.state == coDone {
+	e := c.eng
+	if e.closed || c.state == coDone {
 		return
 	}
-	if c.state == coRunning || b.cur == c {
+	if c.state == coRunning || e.cur == c {
 		panic(fmt.Sprintf("sim: Destroy on running coroutine %s", c.name))
 	}
 	if c.resumeScheduled {
@@ -340,15 +333,15 @@ func (c *Coroutine) dispatch() {
 	if c.state == coDone {
 		return
 	}
-	b := c.b
-	prev := b.cur
-	b.cur = c
-	b.st.LogicalResumes++
-	b.st.PhysicalSwitches++
+	e := c.eng
+	prev := e.cur
+	e.cur = c
+	e.st.LogicalResumes++
+	e.st.PhysicalSwitches++
 	c.hand <- struct{}{}
 	<-c.hand
-	b.cur = prev
-	b.retire(c)
+	e.cur = prev
+	e.retire(c)
 }
 
 // kill unwinds a parked or not-yet-started coroutine. Called from
@@ -360,9 +353,9 @@ func (c *Coroutine) kill() {
 	c.killed = true
 	c.hand <- struct{}{}
 	<-c.hand
-	c.b.retire(c)
+	c.eng.retire(c)
 }
 
 // Current reports the coroutine currently executing, or nil when the engine
 // is running a plain event callback.
-func (b *engineBase) Current() *Coroutine { return b.cur }
+func (e *SeqEngine) Current() *Coroutine { return e.cur }

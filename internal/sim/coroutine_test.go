@@ -247,7 +247,7 @@ func TestManyCoroutinesNoLeak(t *testing.T) {
 	}
 	e.Run()
 	e.Close()
-	if n := len(e.base().live); n != 0 {
+	if n := len(e.concrete().live); n != 0 {
 		t.Fatalf("%d live coroutines after Run+Close, want 0", n)
 	}
 }

@@ -14,9 +14,9 @@ var ErrKilled = errors.New("sim: coroutine killed by engine shutdown")
 // Engine is a discrete-event simulator timeline: a clock, an ordered event
 // queue, and the coroutine machinery that runs simulated execution contexts
 // against it. Every layer of the stack — machine, kernel, core, uthread, the
-// chaos battery, the experiment harness — holds this interface, so engines
-// are interchangeable: the reference sequential engine (NewEngine) and the
-// record/replay engine (NewReplayEngine) both slot in behind it.
+// chaos battery, the experiment harness — holds this interface rather than
+// the concrete SeqEngine, so the consumer layers and observers see only the
+// contract below and the hooks.
 //
 // Engine methods must only be called from the goroutine driving Run/Step, or
 // from inside event callbacks and coroutines (which, by the strict hand-off
@@ -25,12 +25,12 @@ var ErrKilled = errors.New("sim: coroutine killed by engine shutdown")
 // deterministic timeline. To use every core, run many engines — one per
 // independent run — under internal/fleet.
 //
-// Every implementation must provide the exact observable contract the
-// compliance suite (compliance_test.go) pins: the (time, seq) total order,
-// exact Pending counts, inert stale Handles, coroutine park/unpark
-// semantics, and identical hook streams with elision on and off. A new
-// engine lands with a lockstep-oracle test against the reference plus a
-// fingerprint pin over the chaos sweep (DESIGN.md §6 has the checklist).
+// The compliance suite (compliance_test.go) pins the observable contract:
+// the (time, seq) total order, exact Pending counts, inert stale Handles,
+// coroutine park/unpark semantics, and identical hook streams with elision
+// on and off. A new engine lands with a lockstep-oracle test against the
+// reference plus a fingerprint pin over the chaos sweep (DESIGN.md §6 has
+// the checklist).
 type Engine interface {
 	// Now reports the current virtual time.
 	Now() Time
@@ -99,18 +99,16 @@ type Engine interface {
 	// Hooks returns the engine's hook registry.
 	Hooks() *Hooks
 
-	// base seals the interface to this package: engines share the event
-	// pool, coroutine machinery, stats, and hook plumbing of engineBase, so
-	// an implementation cannot exist outside internal/sim.
-	base() *engineBase
+	// concrete seals the interface to this package: SeqEngine is its only
+	// implementation.
+	concrete() *SeqEngine
 }
 
 // EngineStats counts engine activity; useful for tests and for keeping an
 // eye on event-storm bugs. The same values are readable through Metrics
 // under the "sim." prefix. All fields except PhysicalSwitches are simulated
 // observables: two engines given the same program must produce identical
-// values (the replay engine adopts Overflows from its recording, since
-// overflow placement is a queue-machinery detail it does not re-execute).
+// values.
 type EngineStats struct {
 	Events           uint64 // events fired
 	LogicalResumes   uint64 // coroutine resumptions, physical or elided
@@ -122,39 +120,24 @@ type EngineStats struct {
 	MaxPending       int    // high-water mark of the event queue
 }
 
-// impl is the private face of an engine implementation: the handful of
-// queue-touching operations the shared coroutine and Handle machinery routes
-// through. Everything else (drive loops, At/After sugar) each engine
-// implements concretely so its hot loop pays no interface dispatch on
-// itself.
-type impl interface {
-	Engine
-	// scheduleEvent is the single scheduling entry: every At/After and
-	// coroutine resume lands here.
-	scheduleEvent(t Time, kind Kind, subj string, fn func(), co *Coroutine) Handle
-	// nextEvent returns the next event in the engine's total order without
-	// removing it, or nil when none is queued. (The reference engine's
-	// implementation also positions its wheel, so calling it is not free —
-	// but it is idempotent.)
-	nextEvent() *Event
-	// fireNext fires ev, which must be the event nextEvent just returned:
-	// remove, advance the clock, recycle, emit hooks, run the callback.
-	fireNext(ev *Event)
-	// consumeNext consumes ev — a pending resume for c, and the event
-	// nextEvent just returned — in place, without a goroutine hand-off.
-	consumeNext(ev *Event, c *Coroutine)
-	// cancelQueued removes a still-queued event (the Handle staleness
-	// checks have already passed).
-	cancelQueued(ev *Event)
-}
+// maxTime is the fire ceiling of an unbounded Run call.
+const maxTime = Time(1<<63 - 1)
 
-// engineBase is the state and machinery every engine implementation shares:
-// the clock, the sequence counter, the recycled event pool, the coroutine
-// set, stats, metrics, and hooks. Implementations embed it by value and
-// point self at themselves so the shared coroutine/Handle paths can reach
-// their queue operations.
-type engineBase struct {
-	self    impl
+// SeqEngine is the engine: the sequential, elided simulator the whole
+// repository's timelines are pinned against. It holds the clock, the
+// sequence counter, the recycled event pool, the coroutine set, stats,
+// metrics, and hooks. Its hot path — schedule, fire, cancel — is
+// allocation-free in steady state and O(1) for the near future: event
+// records live on a free list and are recycled as they fire or are
+// cancelled, and the queue is a timeline (timeline.go) — a two-level timing
+// wheel whose slot lists splice in constant time, with the indexed heap kept
+// as the sorted overflow level for events beyond the ~67 ms horizon.
+// Cancellation removes the record outright from either structure (no
+// tombstones, so Pending is exact).
+//
+// Code outside internal/sim holds the Engine interface, never this type
+// (make lint enforces the seam).
+type SeqEngine struct {
 	now     Time
 	limit   Time // fire ceiling of the current Run/RunUntil/Step call; elision must not pass it
 	seq     uint64
@@ -168,262 +151,107 @@ type engineBase struct {
 	metrics *stats.Registry
 	hooks   Hooks
 	st      EngineStats
+	tl      timeline
+	drain   []*Event // Reset drain scratch, reused across resets
 }
 
-// init wires the base to its implementation and applies construction
-// options. Must be the first thing a concrete constructor calls.
-func (b *engineBase) init(self impl, c config) {
-	b.self = self
-	b.live = make(map[*Coroutine]struct{})
-	b.metrics = stats.New()
-	b.label = c.label
-	b.noElide = c.noElide
-	b.hooks.ctx.Engine = self
-	b.metrics.Func("sim.events", func() uint64 { return b.st.Events })
-	// "sim.resumes" keeps its historical name and value: it counts logical
-	// resumptions, which the elision fast path leaves untouched, so the
-	// metric (and every fingerprint hashing it) is identical with elision on
-	// or off. The physical count is a host metric: it describes how the
-	// simulator executed, not what it simulated.
-	b.metrics.Func("sim.resumes", func() uint64 { return b.st.LogicalResumes })
-	b.metrics.FuncHost("sim.physical_switches", func() uint64 { return b.st.PhysicalSwitches })
-	b.metrics.Func("sim.scheduled", func() uint64 { return b.st.Scheduled })
-	b.metrics.Func("sim.cancels", func() uint64 { return b.st.Cancels })
-	b.metrics.Func("sim.pool_reuses", func() uint64 { return b.st.Reuses })
-	b.metrics.Func("sim.overflows", func() uint64 { return b.st.Overflows })
-	b.metrics.Func("sim.max_pending", func() uint64 { return uint64(b.st.MaxPending) })
-	for _, fn := range c.onClose {
-		b.hooks.OnClose(fn)
-	}
-}
-
-func (b *engineBase) base() *engineBase { return b }
-
-// Now reports the current virtual time.
-func (b *engineBase) Now() Time { return b.now }
-
-// Label reports the engine's label.
-func (b *engineBase) Label() string { return b.label }
-
-// Metrics returns the engine's shared stats registry.
-func (b *engineBase) Metrics() *stats.Registry { return b.metrics }
-
-// Stats exposes the engine's activity counters.
-func (b *engineBase) Stats() *EngineStats { return &b.st }
-
-// Hooks returns the engine's hook registry.
-func (b *engineBase) Hooks() *Hooks { return &b.hooks }
-
-// alloc takes an event record from the free list, or makes one.
-func (b *engineBase) alloc() *Event {
-	if n := len(b.free); n > 0 {
-		ev := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		b.st.Reuses++
-		return ev
-	}
-	return &Event{eng: b.self, index: -1}
-}
-
-// release recycles a fired or cancelled event record. Bumping the
-// generation turns every outstanding Handle to it inert.
-func (b *engineBase) release(ev *Event) {
-	ev.gen++
-	ev.fn = nil
-	ev.co = nil
-	ev.subj = ""
-	ev.kind = ""
-	b.free = append(b.free, ev)
-}
-
-// newEvent is the shared scheduling prologue: validity checks, sequence
-// assignment, record allocation. The caller files the record into its queue
-// and then calls scheduled.
-func (b *engineBase) newEvent(t Time, kind Kind, subj string, fn func(), co *Coroutine) *Event {
-	if b.closed {
-		panic("sim: schedule on closed engine")
-	}
-	if t < b.now {
-		ev := Event{kind: kind, subj: subj}
-		panic(fmt.Sprintf("sim: event %q scheduled at %v, before now %v", ev.name(), t, b.now))
-	}
-	b.seq++
-	ev := b.alloc()
-	ev.t, ev.seq, ev.kind, ev.subj, ev.fn, ev.co = t, b.seq, kind, subj, fn, co
-	return ev
-}
-
-// scheduled is the shared scheduling epilogue: counters, high-water mark,
-// hook, handle. pending is the queue depth including ev.
-func (b *engineBase) scheduled(ev *Event, pending int) Handle {
-	b.st.Scheduled++
-	if pending > b.st.MaxPending {
-		b.st.MaxPending = pending
-	}
-	if b.hooks.active(HookSchedule) {
-		b.hooks.emit(HookSchedule, ev.t, ev.seq, ev.kind, ev.subj)
-	}
-	return Handle{ev, ev.gen}
-}
-
-// finishFire is the queue-independent tail of firing ev: the caller has
-// already removed it from its queue. Advances the clock, recycles the
-// record (during its own callback the event is already "fired", so its
-// handles are inert and its record reusable), emits the fire hooks, and
-// runs the callback or dispatches the coroutine.
-func (b *engineBase) finishFire(ev *Event) {
-	b.now = ev.t
-	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
-	fn, co := ev.fn, ev.co
-	b.release(ev)
-	b.st.Events++
-	if b.hooks.active(HookPreFire) {
-		b.hooks.emit(HookPreFire, t, seq, kind, subj)
-	}
-	if co != nil {
-		co.dispatch()
-	} else {
-		fn()
-	}
-	if b.hooks.active(HookPostFire) {
-		b.hooks.emit(HookPostFire, t, seq, kind, subj)
-	}
-}
-
-// finishConsume is the queue-independent tail of consuming ev — a resume
-// for the currently running coroutine c — in place, without a goroutine
-// hand-off. The clock advance, record recycling, counters, and hook
-// emissions are exactly those of the fired path; only the rendezvous (and
-// hence the PhysicalSwitches count) disappear, and PostFire fires adjacent
-// to PreFire since the resumed body continues on the spot.
-func (b *engineBase) finishConsume(ev *Event, c *Coroutine) {
-	b.now = ev.t
-	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
-	b.release(ev)
-	b.st.Events++
-	b.st.LogicalResumes++
-	c.resumeScheduled = false
-	if b.hooks.active(HookPreFire) {
-		b.hooks.emit(HookPreFire, t, seq, kind, subj)
-	}
-	if b.hooks.active(HookPostFire) {
-		b.hooks.emit(HookPostFire, t, seq, kind, subj)
-	}
-}
-
-// cancelled is the queue-independent tail of cancelling ev: the caller has
-// already removed it from its queue.
-func (b *engineBase) cancelled(ev *Event) {
-	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
-	b.st.Cancels++
-	b.release(ev)
-	if b.hooks.active(HookCancel) {
-		b.hooks.emit(HookCancel, t, seq, kind, subj)
-	}
-}
-
-// beginClose runs the engine-independent half of Close: close hooks while
-// every counter is final but coroutines are still alive, then the coroutine
-// unwind. Reports false when the engine was already closed.
-func (b *engineBase) beginClose() bool {
-	if b.closed {
-		return false
-	}
-	if b.hooks.active(HookClose) {
-		b.hooks.emit(HookClose, b.now, b.seq, "", "")
-	}
-	b.closed = true
-	for c := range b.live {
-		c.kill()
-	}
-	return true
-}
-
-// beginReset runs the engine-independent head of Reset: validity checks and
-// the coroutine unwind. Unlike beginClose, no close hooks fire and the
-// engine stays open. After a *CoroutinePanic escaped a drive call, cur may
-// still point at the (now done) coroutine; only a genuinely running
-// coroutine — a Reset issued from inside simulated code — is rejected.
-func (b *engineBase) beginReset() {
-	if b.closed {
-		panic("sim: Reset on closed engine")
-	}
-	if b.cur != nil && b.cur.state == coRunning {
-		panic("sim: Reset from inside a coroutine")
-	}
-	for c := range b.live {
-		c.kill()
-	}
-}
-
-// resetBase reinitializes the shared engine state for a fresh run: clock,
-// sequence counter, fire ceiling, and every stat return to zero, the event
-// free list is dropped (a warm run must serve its first allocations fresh,
-// so the fingerprinted Reuses count matches a cold engine's exactly), and
-// the construction options are re-applied. The metrics registry, hook
-// registrations, live-set map, and goroutine pool survive — re-registering
-// metrics would corrupt the registry's dedup names, and the pool's warm
-// goroutines are the point of resetting instead of closing.
-func (b *engineBase) resetBase(c config) {
-	b.now, b.limit, b.seq = 0, 0, 0
-	b.cur = nil
-	for i := range b.free {
-		b.free[i] = nil
-	}
-	b.free = b.free[:0]
-	b.st = EngineStats{}
-	b.label = c.label
-	b.noElide = c.noElide
-	for _, fn := range c.onClose {
-		b.hooks.OnClose(fn)
-	}
-}
-
-// maxTime is the fire ceiling of an unbounded Run call.
-const maxTime = Time(1<<63 - 1)
-
-// SeqEngine is the reference engine: the sequential, elided simulator the
-// whole repository's timelines are pinned against. Its hot path — schedule,
-// fire, cancel — is allocation-free in steady state and O(1) for the near
-// future: event records live on a free list and are recycled as they fire
-// or are cancelled, and the queue is a timeline (timeline.go) — a two-level
-// timing wheel whose slot lists splice in constant time, with the indexed
-// heap kept as the sorted overflow level for events beyond the ~67 ms
-// horizon. Cancellation removes the record outright from either structure
-// (no tombstones, so Pending is exact).
-//
-// Code outside internal/sim holds the Engine interface, never this type
-// (make lint enforces the seam).
-type SeqEngine struct {
-	engineBase
-	tl    timeline
-	drain []*Event // Reset drain scratch, reused across resets
-}
-
-// NewEngine returns a reference sequential engine at time zero with an empty
-// event queue.
+// NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine(opts ...Option) Engine {
 	return newSeqEngine(nil, buildConfig(opts))
 }
 
 func newSeqEngine(pool *Pool, c config) *SeqEngine {
-	e := &SeqEngine{}
+	e := &SeqEngine{pool: pool}
 	e.tl.reset(&e.st.Overflows)
-	e.init(e, c)
-	e.pool = pool
+	e.live = make(map[*Coroutine]struct{})
+	e.metrics = stats.New()
+	e.label = c.label
+	e.noElide = c.noElide
+	e.hooks.ctx.Engine = e
+	e.metrics.Func("sim.events", func() uint64 { return e.st.Events })
+	// "sim.resumes" keeps its historical name and value: it counts logical
+	// resumptions, which the elision fast path leaves untouched, so the
+	// metric (and every fingerprint hashing it) is identical with elision on
+	// or off. The physical count is a host metric: it describes how the
+	// simulator executed, not what it simulated.
+	e.metrics.Func("sim.resumes", func() uint64 { return e.st.LogicalResumes })
+	e.metrics.FuncHost("sim.physical_switches", func() uint64 { return e.st.PhysicalSwitches })
+	e.metrics.Func("sim.scheduled", func() uint64 { return e.st.Scheduled })
+	e.metrics.Func("sim.cancels", func() uint64 { return e.st.Cancels })
+	e.metrics.Func("sim.pool_reuses", func() uint64 { return e.st.Reuses })
+	e.metrics.Func("sim.overflows", func() uint64 { return e.st.Overflows })
+	e.metrics.Func("sim.max_pending", func() uint64 { return uint64(e.st.MaxPending) })
+	for _, fn := range c.onClose {
+		e.hooks.OnClose(fn)
+	}
 	return e
 }
+
+func (e *SeqEngine) concrete() *SeqEngine { return e }
+
+// Now reports the current virtual time.
+func (e *SeqEngine) Now() Time { return e.now }
 
 // Pending reports the number of events queued to fire.
 func (e *SeqEngine) Pending() int { return e.tl.count() }
 
+// Label reports the engine's label.
+func (e *SeqEngine) Label() string { return e.label }
+
+// Metrics returns the engine's shared stats registry.
+func (e *SeqEngine) Metrics() *stats.Registry { return e.metrics }
+
+// Stats exposes the engine's activity counters.
+func (e *SeqEngine) Stats() *EngineStats { return &e.st }
+
+// Hooks returns the engine's hook registry.
+func (e *SeqEngine) Hooks() *Hooks { return &e.hooks }
+
+// alloc takes an event record from the free list, or makes one.
+func (e *SeqEngine) alloc() *Event {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		e.st.Reuses++
+		return ev
+	}
+	return &Event{eng: e, index: -1}
+}
+
+// release recycles a fired or cancelled event record. Bumping the
+// generation turns every outstanding Handle to it inert.
+func (e *SeqEngine) release(ev *Event) {
+	ev.gen++
+	ev.fn = nil
+	ev.co = nil
+	ev.subj = ""
+	ev.kind = ""
+	e.free = append(e.free, ev)
+}
+
 // schedule is the single hot-path entry: every At/After/coroutine resume
 // lands here. No formatting, no allocation in steady state.
 func (e *SeqEngine) schedule(t Time, kind Kind, subj string, fn func(), co *Coroutine) Handle {
-	ev := e.newEvent(t, kind, subj, fn, co)
+	if e.closed {
+		panic("sim: schedule on closed engine")
+	}
+	if t < e.now {
+		ev := Event{kind: kind, subj: subj}
+		panic(fmt.Sprintf("sim: event %q scheduled at %v, before now %v", ev.name(), t, e.now))
+	}
+	e.seq++
+	ev := e.alloc()
+	ev.t, ev.seq, ev.kind, ev.subj, ev.fn, ev.co = t, e.seq, kind, subj, fn, co
 	e.tl.enqueue(ev)
-	return e.scheduled(ev, e.tl.count())
+	e.st.Scheduled++
+	if pending := e.tl.count(); pending > e.st.MaxPending {
+		e.st.MaxPending = pending
+	}
+	if e.hooks.active(HookSchedule) {
+		e.hooks.emit(HookSchedule, ev.t, ev.seq, ev.kind, ev.subj)
+	}
+	return Handle{ev, ev.gen}
 }
 
 // At schedules fn to run at absolute time t.
@@ -452,11 +280,63 @@ func (e *SeqEngine) AfterNamed(d Duration, kind Kind, subject string, fn func())
 	return e.schedule(e.now.Add(d), kind, subject, fn, nil)
 }
 
-// fire removes ev from the queue, advances the clock to its time, recycles
-// the record, and runs the callback.
+// fire removes ev — the event tl.peek just returned — from the queue,
+// advances the clock to its time, recycles the record (during its own
+// callback the event is already "fired", so its handles are inert and its
+// record reusable), emits the fire hooks, and runs the callback or
+// dispatches the coroutine.
 func (e *SeqEngine) fire(ev *Event) {
 	e.tl.dequeue(ev)
-	e.finishFire(ev)
+	e.now = ev.t
+	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
+	fn, co := ev.fn, ev.co
+	e.release(ev)
+	e.st.Events++
+	if e.hooks.active(HookPreFire) {
+		e.hooks.emit(HookPreFire, t, seq, kind, subj)
+	}
+	if co != nil {
+		co.dispatch()
+	} else {
+		fn()
+	}
+	if e.hooks.active(HookPostFire) {
+		e.hooks.emit(HookPostFire, t, seq, kind, subj)
+	}
+}
+
+// consume consumes ev — a resume for the currently running coroutine c, and
+// the event tl.peek just returned — in place, without a goroutine hand-off.
+// The clock advance, record recycling, counters, and hook emissions are
+// exactly those of fire; only the rendezvous (and hence the
+// PhysicalSwitches count) disappear, and PostFire fires adjacent to PreFire
+// since the resumed body continues on the spot.
+func (e *SeqEngine) consume(ev *Event, c *Coroutine) {
+	e.tl.dequeue(ev)
+	e.now = ev.t
+	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
+	e.release(ev)
+	e.st.Events++
+	e.st.LogicalResumes++
+	c.resumeScheduled = false
+	if e.hooks.active(HookPreFire) {
+		e.hooks.emit(HookPreFire, t, seq, kind, subj)
+	}
+	if e.hooks.active(HookPostFire) {
+		e.hooks.emit(HookPostFire, t, seq, kind, subj)
+	}
+}
+
+// cancel removes a still-queued event (the Handle staleness checks have
+// already passed) and recycles it.
+func (e *SeqEngine) cancel(ev *Event) {
+	e.tl.dequeue(ev)
+	t, seq, kind, subj := ev.t, ev.seq, ev.kind, ev.subj
+	e.st.Cancels++
+	e.release(ev)
+	if e.hooks.active(HookCancel) {
+		e.hooks.emit(HookCancel, t, seq, kind, subj)
+	}
 }
 
 // Step fires the next event, advancing the clock to its time. It reports
@@ -502,12 +382,20 @@ func (e *SeqEngine) RunUntil(t Time) {
 // RunFor advances the clock by d, firing all events in the window.
 func (e *SeqEngine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Close shuts the engine down, unwinding every live coroutine so no
+// Close shuts the engine down: close hooks fire while every counter is final
+// but coroutines are still alive, then every live coroutine is unwound so no
 // goroutines leak. After Close the engine must not be used. Close is
 // idempotent.
 func (e *SeqEngine) Close() {
-	if !e.beginClose() {
+	if e.closed {
 		return
+	}
+	if e.hooks.active(HookClose) {
+		e.hooks.emit(HookClose, e.now, e.seq, "", "")
+	}
+	e.closed = true
+	for c := range e.live {
+		c.kill()
 	}
 	// Invalidate outstanding handles to still-queued events before dropping
 	// the queue, so a stale Cancel after Close stays inert.
@@ -519,8 +407,26 @@ func (e *SeqEngine) Close() {
 
 // Reset returns the engine to its construction state for reuse; see
 // Engine.Reset for the contract.
+//
+// Unlike Close, no close hooks fire and the engine stays open. After a
+// *CoroutinePanic escaped a drive call, cur may still point at the (now
+// done) coroutine; only a genuinely running coroutine — a Reset issued from
+// inside simulated code — is rejected. The event free list is dropped (a
+// warm run must serve its first allocations fresh, so the fingerprinted
+// Reuses count matches a cold engine's exactly). The metrics registry, hook
+// registrations, live-set map, and goroutine pool survive — re-registering
+// metrics would corrupt the registry's dedup names, and the pool's warm
+// goroutines are the point of resetting instead of closing.
 func (e *SeqEngine) Reset(opts ...Option) {
-	e.beginReset()
+	if e.closed {
+		panic("sim: Reset on closed engine")
+	}
+	if e.cur != nil && e.cur.state == coRunning {
+		panic("sim: Reset from inside a coroutine")
+	}
+	for c := range e.live {
+		c.kill()
+	}
 	// Every outstanding Handle to a drained record turns inert; dropping the
 	// references keeps the records collectable while the scratch survives.
 	e.drain = e.tl.drainAll(e.drain[:0])
@@ -528,26 +434,18 @@ func (e *SeqEngine) Reset(opts ...Option) {
 		ev.gen++
 		e.drain[i] = nil
 	}
-	e.resetBase(buildConfig(opts))
+	c := buildConfig(opts)
+	e.now, e.limit, e.seq = 0, 0, 0
+	e.cur = nil
+	for i := range e.free {
+		e.free[i] = nil
+	}
+	e.free = e.free[:0]
+	e.st = EngineStats{}
+	e.label = c.label
+	e.noElide = c.noElide
+	for _, fn := range c.onClose {
+		e.hooks.OnClose(fn)
+	}
 	e.tl.reset(&e.st.Overflows)
-}
-
-// --- impl ---
-
-func (e *SeqEngine) scheduleEvent(t Time, kind Kind, subj string, fn func(), co *Coroutine) Handle {
-	return e.schedule(t, kind, subj, fn, co)
-}
-
-func (e *SeqEngine) nextEvent() *Event { return e.tl.peek() }
-
-func (e *SeqEngine) fireNext(ev *Event) { e.fire(ev) }
-
-func (e *SeqEngine) consumeNext(ev *Event, c *Coroutine) {
-	e.tl.dequeue(ev)
-	e.finishConsume(ev, c)
-}
-
-func (e *SeqEngine) cancelQueued(ev *Event) {
-	e.tl.dequeue(ev)
-	e.cancelled(ev)
 }

@@ -16,7 +16,6 @@ const (
 	locNone  = iota // not queued: free, fired, or cancelled
 	locWheel        // linked into a wheel slot list (slot says which)
 	locHeap         // in the overflow heap (index says where)
-	locMap          // in the replay engine's by-sequence map
 )
 
 // Event is a scheduled callback, ordered by time with ties broken by
@@ -25,7 +24,7 @@ const (
 // recycled for a later schedule. External code therefore never holds an
 // *Event; it holds a generation-checked Handle.
 type Event struct {
-	eng  impl // owning engine; routes Handle.Cancel to its queue
+	eng  *SeqEngine // owning engine; routes Handle.Cancel to its queue
 	t    Time
 	seq  uint64 // tie-break within equal times; engine-global schedule order
 	gen  uint64 // bumped on every recycle; stale Handles become inert
@@ -34,7 +33,7 @@ type Event struct {
 	fn   func()     // callback, nil for coroutine dispatch events
 	co   *Coroutine // dispatch target; avoids a closure per resume
 
-	loc   int8   // locNone, locWheel, locHeap, locMap
+	loc   int8   // locNone, locWheel, locHeap
 	slot  int32  // wheel slot id when loc == locWheel
 	index int    // position in the overflow heap, -1 when not there
 	next  *Event // wheel slot list links (intrusive, allocation-free)
@@ -102,7 +101,7 @@ func (h Handle) Cancel() bool {
 	if ev == nil || ev.gen != h.gen {
 		return false
 	}
-	ev.eng.cancelQueued(ev)
+	ev.eng.cancel(ev)
 	return true
 }
 

@@ -2,8 +2,8 @@ package sim
 
 // HookPos identifies one of the engine's fixed hook points. Hooks are the
 // engine's only extension seam: every cross-cutting observer — stats sinks,
-// fingerprint folding, the record/replay recorder — registers at one of
-// these positions instead of being wired into the engine structurally.
+// fingerprint folding, trace streams — registers at one of these positions
+// instead of being wired into the engine structurally.
 //
 // The taxonomy (see DESIGN.md §6):
 //
@@ -14,8 +14,7 @@ package sim
 //     to the event's time and the record was recycled, immediately before
 //     the callback (or coroutine dispatch) executes. The PreFire stream is
 //     the engine's canonical fired-event history: it is the same (time, seq)
-//     sequence whether elision is on or off, which is what makes it safe to
-//     record and replay.
+//     sequence whether elision is on or off.
 //   - HookPostFire: the event's callback returned — or, for a dispatched
 //     coroutine, the coroutine parked again. For an elided (consumed
 //     in-place) resume PostFire fires immediately after PreFire, before the

@@ -182,7 +182,7 @@ func hookScenario(e Engine) {
 }
 
 // TestHookStreamsIdenticalWithElisionOnOff pins the invariant that makes the
-// PreFire stream recordable: Schedule, Cancel, and PreFire hook streams are
+// PreFire stream the canonical fired-event history: Schedule, Cancel, and PreFire hook streams are
 // identical whether the elision fast path is enabled or not. (PostFire may
 // legally interleave differently relative to Schedule for elided resumes.)
 func TestHookStreamsIdenticalWithElisionOnOff(t *testing.T) {

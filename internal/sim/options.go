@@ -1,10 +1,10 @@
 package sim
 
 // Option configures an engine at construction. Engine construction is
-// uniform across the harnesses: NewEngine(opts...) and Pool.NewEngine
-// (and NewReplayEngine) all accept the same options, so labels, elision
-// toggles, and close observers are fixed before the first event is
-// scheduled and the engine carries no mutable configuration surface.
+// uniform across the harnesses: NewEngine(opts...) and Pool.NewEngine accept
+// the same options, so labels, elision toggles, and close observers are
+// fixed before the first event is scheduled and the engine carries no
+// mutable configuration surface.
 type Option func(*config)
 
 type config struct {
