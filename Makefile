@@ -23,10 +23,10 @@ vet:
 #    only, so no package outside internal/sim may name a concrete engine type;
 #  - the retired sim.StatsSink global must not come back (per-engine close
 #    hooks replaced it);
-#  - concurrency in internal/sim is restricted to the audited files — the
-#    coroutine hand-off and the goroutine pool; a goroutine or channel
-#    anywhere else is a design violation (TestSimConcurrencyIsAudited
-#    enforces the same rule from inside).
+#  - internal/sim starts no goroutine and makes no channel in any non-test
+#    file: coroutines switch through iter.Pull, which only coroutine.go and
+#    pool.go may call (TestSimConcurrencyIsAudited enforces the same rule
+#    from inside).
 lint: vet
 	@if grep -rn --include='*.go' -E 'sim\.SeqEngine\b' --exclude-dir=sim .; then \
 		echo "lint: concrete engine type referenced outside internal/sim (hold sim.Engine instead)"; exit 1; \
@@ -34,17 +34,19 @@ lint: vet
 	@if grep -rn --include='*.go' 'sim\.StatsSink' .; then \
 		echo "lint: retired sim.StatsSink referenced (use per-engine close hooks / exp.SetStatsSink)"; exit 1; \
 	fi
-	@if grep -ln --include='*.go' -E 'go func|make\(chan' internal/sim/*.go \
-		| grep -v -E '_test\.go|/(coroutine|pool)\.go'; then \
-		echo "lint: unaudited concurrency in internal/sim (allowed only in coroutine.go, pool.go)"; exit 1; \
+	@if grep -n -E '^[[:space:]]*go[[:space:]]|go func|make\(chan' $$(ls internal/sim/*.go | grep -v '_test\.go$$'); then \
+		echo "lint: goroutine or channel in internal/sim (coroutines switch through iter.Pull)"; exit 1; \
+	fi
+	@if grep -ln -E 'iter\.Pull[[(]' internal/sim/*.go | grep -v -E '_test\.go|/(coroutine|pool)\.go'; then \
+		echo "lint: iter.Pull in internal/sim outside coroutine.go, pool.go"; exit 1; \
 	fi
 	@echo "lint: ok"
 
 test:
 	$(GO) test ./...
 
-# The sim engine hands a goroutine per coroutine, and the fleet pool fans
-# engines across cores; race-check both, plus a real parallel sweep.
+# The sim engine runs each coroutine on its own iter.Pull, and the fleet pool
+# fans engines across cores; race-check both, plus a real parallel sweep.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/fleet/...
 	$(GO) test -race -run 'TestParallelSweepMatchesSequential|TestChaosSweepShort|TestWarmContext' ./internal/exp/

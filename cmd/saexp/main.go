@@ -107,7 +107,7 @@ func run() int {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(set, mode, *which); err != nil {
+	if err := checkFlags(set, mode, *which, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "saexp: %v\n", err)
 		return 2
 	}
@@ -421,8 +421,16 @@ var flagModes = []struct {
 }
 
 // checkFlags rejects an explicitly set flag (set holds the names flag.Visit
-// reports) that the selected mode would ignore; which is the -exp value.
-func checkFlags(set map[string]bool, mode, which string) error {
+// reports) that the selected mode would ignore, and any positional argument,
+// since no mode reads one; which is the -exp value and args what flag.Args
+// returns.
+func checkFlags(set map[string]bool, mode, which string, args []string) error {
+	if len(args) > 0 {
+		if strings.HasSuffix(args[0], ".json") {
+			return fmt.Errorf("unexpected argument %q (to run a spec file, use -scenario %s)", args[0], args[0])
+		}
+		return fmt.Errorf("unexpected argument %q (saexp takes flags only)", args[0])
+	}
 	got := mode
 	if mode == modeExp {
 		got = "-exp " + which

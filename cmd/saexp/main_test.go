@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,7 @@ func TestCheckFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			err := checkFlags(set, tc.mode, tc.which)
+			err := checkFlags(set, tc.mode, tc.which, nil)
 			switch {
 			case tc.bad == "" && err != nil:
 				t.Fatalf("rejected: %v", err)
@@ -47,6 +48,42 @@ func TestCheckFlags(t *testing.T) {
 				t.Fatalf("accepted; want %s rejected", tc.bad)
 			case tc.bad != "" && !strings.HasPrefix(err.Error(), tc.bad+" "):
 				t.Fatalf("error %q does not lead with %s", err, tc.bad)
+			}
+		})
+	}
+}
+
+// TestCheckFlagsRejectsPositionalArgs: no mode reads a positional argument,
+// so one is an error in every mode — and a spec path given without
+// -scenario gets pointed at the flag instead of silently running -exp all.
+func TestCheckFlagsRejectsPositionalArgs(t *testing.T) {
+	cases := []struct {
+		name string
+		set  []string
+		mode string
+		args []string
+		hint string // text the error must contain besides the argument
+	}{
+		{"spec path without -scenario", nil, modeExp, []string{"my.json"}, "use -scenario my.json"},
+		{"list with extra argument", []string{"list"}, modeList, []string{"extra"}, ""},
+		{"chaos with trailing seed count", []string{"chaos"}, modeChaos, []string{"64"}, ""},
+		{"scenario with a second spec", []string{"scenario"}, modeScenario, []string{"a.json", "b.json"}, "use -scenario a.json"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := map[string]bool{}
+			for _, f := range tc.set {
+				set[f] = true
+			}
+			err := checkFlags(set, tc.mode, "all", tc.args)
+			if err == nil {
+				t.Fatalf("accepted positional %q", tc.args)
+			}
+			if want := fmt.Sprintf("unexpected argument %q ", tc.args[0]); !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("error %q does not lead with %s", err, want)
+			}
+			if !strings.Contains(err.Error(), tc.hint) {
+				t.Fatalf("error %q does not mention %q", err, tc.hint)
 			}
 		})
 	}

@@ -7,7 +7,7 @@ import "testing"
 // saexp -scenario) relies on:
 //
 //   - no input panics, however malformed;
-//   - every spec that validates compiles;
+//   - every spec that validates compiles, to at most MaxSeeds jobs;
 //   - a mix spec compiles to exactly faults.seeds jobs, seeds
 //     first_seed..first_seed+seeds-1 in order, none negative (the seed
 //     range cannot wrap past int64);
@@ -39,6 +39,9 @@ func FuzzSpecParse(f *testing.F) {
 		p, err := Compile(s)
 		if err != nil {
 			t.Fatalf("valid spec failed to compile: %v\n%s", err, Marshal(s))
+		}
+		if len(p.Jobs) > MaxSeeds {
+			t.Fatalf("valid spec compiled to %d jobs, more than MaxSeeds = %d", len(p.Jobs), MaxSeeds)
 		}
 		if s.Workload.Kind != KindMix {
 			return

@@ -31,9 +31,11 @@ func (v ValidationError) Error() string {
 // MaxCPUs bounds the simulated machine size.
 const MaxCPUs = 64
 
-// MaxSeeds bounds one compiled sweep's width. It is a memory limit: the
-// fleet streams results, but Compile materialises one labelled Job per seed
-// before the first seed runs, ~32 MiB at this bound.
+// MaxSeeds bounds every compiled program's width: a mix sweep's seeds and
+// an application grid's cells (the product of its axes) alike. It is a
+// memory limit: the fleet streams results, but Compile materialises one
+// labelled Job per seed or cell before the first one runs, ~32 MiB at this
+// bound.
 const MaxSeeds = 1 << 16
 
 // Validate checks a Spec for structural errors and returns nil or a
@@ -74,6 +76,7 @@ func Validate(s Spec) error {
 			bad(fmt.Sprintf("workload.memory_pct[%d]", i), "must be in (0, 100] (got %g)", pct)
 		}
 	}
+	noDuplicates(s.Workload.MemoryPct, "workload.memory_pct", bad)
 	if s.Workload.Baseline && kind != KindNbody {
 		bad("workload.baseline", "only the nbody workload has a sequential baseline")
 	}
@@ -129,6 +132,7 @@ func Validate(s Spec) error {
 				bad(fmt.Sprintf("binding.systems[%d]", i), "unknown system %q (want topaz, orig-ft, or new-ft)", sys)
 			}
 		}
+		noDuplicates(s.Binding.Systems, "binding.systems", bad)
 	}
 	for i, p := range s.Binding.Procs {
 		if kind != KindNbody {
@@ -139,21 +143,18 @@ func Validate(s Spec) error {
 			bad(fmt.Sprintf("binding.procs[%d]", i), "must be 1..machine.cpus=%d (got %d)", s.Machine.CPUs, p)
 		}
 	}
+	noDuplicates(s.Binding.Procs, "binding.procs", bad)
 	if len(s.Binding.Policy) > 0 && (kind != KindNbody || !onlyNewFT(s.Binding.Systems)) {
 		bad("binding.policy", "an allocation-policy axis needs the nbody workload on new-ft only")
 	}
-	seenPolicy := make(map[string]bool, len(s.Binding.Policy))
 	for i, pol := range s.Binding.Policy {
 		switch pol {
 		case PolicySpace, PolicyFCFS:
 		default:
 			bad(fmt.Sprintf("binding.policy[%d]", i), "unknown policy %q (want space or fcfs)", pol)
 		}
-		if seenPolicy[pol] {
-			bad(fmt.Sprintf("binding.policy[%d]", i), "duplicate policy %q (at most one of each)", pol)
-		}
-		seenPolicy[pol] = true
 	}
+	noDuplicates(s.Binding.Policy, "binding.policy", bad)
 	switch {
 	case kind == KindBursty && len(s.Binding.HysteresisUs) == 0:
 		bad("binding.hysteresis_us", "required for the bursty workload: list idle-spin settings in µs")
@@ -164,6 +165,26 @@ func Validate(s Spec) error {
 			if h <= 0 {
 				bad(fmt.Sprintf("binding.hysteresis_us[%d]", i), "must be > 0 µs (got %g)", h)
 			}
+		}
+		noDuplicates(s.Binding.HysteresisUs, "binding.hysteresis_us", bad)
+	}
+	if kind == KindNbody || kind == KindBursty {
+		// Compile materialises the grid's product, so it shares the mix
+		// sweep's width bound. The product saturates just past MaxSeeds.
+		axes := []int{
+			len(s.Binding.Systems),
+			len(s.Binding.EffPolicy()),
+			max(1, len(s.Binding.HysteresisUs)),
+			len(s.Binding.EffProcs(s.Machine.CPUs)),
+			len(s.Workload.EffMemoryPct()),
+		}
+		jobs := 1
+		for _, n := range axes {
+			jobs = min(jobs*n, MaxSeeds+1)
+		}
+		if jobs > MaxSeeds {
+			bad("binding", "the grid compiles to more than %d jobs (systems × policy × hysteresis_us × procs × workload.memory_pct = %d × %d × %d × %d × %d)",
+				MaxSeeds, axes[0], axes[1], axes[2], axes[3], axes[4])
 		}
 	}
 
@@ -212,6 +233,18 @@ func Validate(s Spec) error {
 		return nil
 	}
 	return errs
+}
+
+// noDuplicates flags every element of an axis that repeats an earlier one:
+// an axis is a set, and a repeat would only re-run identical jobs.
+func noDuplicates[T comparable](axis []T, path string, bad func(path, format string, args ...any)) {
+	seen := make(map[T]bool, len(axis))
+	for i, v := range axis {
+		if seen[v] {
+			bad(fmt.Sprintf("%s[%d]", path, i), "duplicate %v", v)
+		}
+		seen[v] = true
+	}
 }
 
 // onlyNewFT reports whether every listed system is new-ft.

@@ -69,6 +69,20 @@ func TestValidateMalformed(t *testing.T) {
 			s.Binding.Systems = []string{SysNewFT}
 			s.Binding.Policy = []string{PolicySpace, PolicyFCFS, PolicySpace}
 		}), "binding.policy[2]", "duplicate"},
+		{"duplicate system", nb(func(s *Spec) { s.Binding.Systems = []string{SysTopaz, SysNewFT, SysTopaz} }),
+			"binding.systems[2]", "duplicate topaz"},
+		{"duplicate procs", nb(func(s *Spec) { s.Binding.Procs = []int{1, 2, 3, 4, 4} }),
+			"binding.procs[4]", "duplicate 4"},
+		{"duplicate memory pct", nb(func(s *Spec) { s.Workload.MemoryPct = []float64{50, 75, 50} }),
+			"workload.memory_pct[2]", "duplicate 50"},
+		{"duplicate hysteresis", Spec{Name: "x", Workload: Workload{Kind: KindBursty},
+			Machine: Machine{CPUs: 2}, Binding: Binding{Systems: []string{SysNewFT}, HysteresisUs: []float64{5, 5}}},
+			"binding.hysteresis_us[1]", "duplicate 5"},
+		{"grid past MaxSeeds", nb(func(s *Spec) {
+			s.Binding.Systems = []string{SysTopaz, SysOrigFT, SysNewFT}
+			s.Binding.Procs = []int{1, 2, 3, 4, 5, 6}
+			s.Workload.MemoryPct = memAxis(3641) // 3 × 6 × 3641 = 65,538 jobs
+		}), "binding", "more than 65536 jobs"},
 		{"hysteresis on nbody", nb(func(s *Spec) { s.Binding.HysteresisUs = []float64{5} }),
 			"binding.hysteresis_us", "bursty"},
 		{"bursty needs hysteresis", Spec{Name: "x", Workload: Workload{Kind: KindBursty},
@@ -203,9 +217,18 @@ func TestValidateShardAndReplay(t *testing.T) {
 	}
 }
 
-// TestValidateAccepts pins the seed-range edges Validate must still let
-// through: the largest first seed whose range fits in int64, and a sweep
-// exactly MaxSeeds wide.
+// memAxis returns n distinct memory percentages in (0, 100].
+func memAxis(n int) []float64 {
+	axis := make([]float64, n)
+	for i := range axis {
+		axis[i] = 100 * float64(i+1) / float64(n)
+	}
+	return axis
+}
+
+// TestValidateAccepts pins the width edges Validate must still let through:
+// the largest first seed whose range fits in int64, a sweep exactly
+// MaxSeeds wide, and an application grid of exactly MaxSeeds cells.
 func TestValidateAccepts(t *testing.T) {
 	mix := func(mut func(*Spec)) Spec {
 		s := ChaosSpec(1, 8)
@@ -215,6 +238,8 @@ func TestValidateAccepts(t *testing.T) {
 	for _, s := range []Spec{
 		mix(func(s *Spec) { s.Faults.FirstSeed, s.Faults.Seeds = math.MaxInt64-1, 2 }),
 		mix(func(s *Spec) { s.Faults.Seeds = MaxSeeds }),
+		{Name: "x", Workload: Workload{Kind: KindNbody, MemoryPct: memAxis(MaxSeeds / 2)},
+			Machine: Machine{CPUs: 2}, Binding: Binding{Systems: []string{SysNewFT}, Procs: []int{1, 2}}},
 	} {
 		if err := Validate(s); err != nil {
 			t.Errorf("valid spec rejected: %v", err)

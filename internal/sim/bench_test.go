@@ -172,3 +172,46 @@ func BenchmarkHookDispatch(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkCoroutineHandoff prices the coroutine layer's three transfers,
+// each allocation-free in steady state apart from pooled-go's Coroutine
+// record:
+//
+//   - physical: one Sleep round trip paid as two coroutine switches (the
+//     body parks, the wake event dispatches it), with elision forced off;
+//   - elided: the same Sleep with elision on, consumed in place;
+//   - pooled-go: Engine.Go plus a run to completion on a warm Pool — one
+//     re-armed host, one dispatch, one final hand-off.
+func BenchmarkCoroutineHandoff(b *testing.B) {
+	sleeper := func(b *testing.B, elide bool) {
+		e := NewEngine(WithElision(elide))
+		defer e.Close()
+		c := e.Go("sleeper", func(c *Coroutine) {
+			for {
+				c.Sleep(Microsecond)
+			}
+		})
+		c.Unpark()
+		e.Step() // first dispatch: the body is now parked in its first Sleep
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.RunUntil(e.Now().Add(Duration(b.N) * Microsecond))
+	}
+	b.Run("physical", func(b *testing.B) { sleeper(b, false) })
+	b.Run("elided", func(b *testing.B) { sleeper(b, true) })
+	b.Run("pooled-go", func(b *testing.B) {
+		pool := NewPool()
+		defer pool.Close()
+		e := pool.NewEngine()
+		defer e.Close()
+		fn := func(*Coroutine) {}
+		e.Go("warm", fn).Unpark()
+		e.Run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Go("bench", fn).Unpark()
+			e.Run()
+		}
+	})
+}

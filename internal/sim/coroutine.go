@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -9,9 +10,9 @@ import (
 type coState int
 
 const (
-	coCreated coState = iota // goroutine armed, body not yet started
+	coCreated coState = iota // coroutine armed, body not yet started
 	coParked                 // body started, currently parked
-	coRunning                // currently executing (engine blocked in hand-off)
+	coRunning                // currently executing (engine blocked in next)
 	coDone                   // body returned or unwound
 )
 
@@ -39,10 +40,10 @@ const (
 )
 
 // CoroutinePanic wraps a panic that escaped a coroutine body. The panic is
-// recovered on the coroutine's goroutine — so a pooled goroutine completes
-// its final hand-off cleanly and returns to its pool instead of dying with a
-// poisoned arm channel — and re-raised on the engine goroutine, where the
-// driving Run/Step call (and any recover around it) can observe it.
+// recovered inside the body — so iter.Pull never sees it, and a pooled host
+// completes its final hand-off cleanly and returns to its pool — and
+// re-raised on the engine side, where the driving Run/Step call (and any
+// recover around it) can observe it.
 type CoroutinePanic struct {
 	Co    string // coroutine debug name
 	Value any    // the original panic value
@@ -53,15 +54,16 @@ func (p *CoroutinePanic) Error() string {
 	return fmt.Sprintf("sim: coroutine %q panicked: %v\n%s", p.Co, p.Value, p.Stack)
 }
 
-// Coroutine is a simulated execution context: a goroutine that runs only when
-// the engine hands control to it, and hands control back by parking. Exactly
-// one coroutine (or event callback) executes at a time, so simulated code
-// needs no locking and the timeline is deterministic.
+// Coroutine is a simulated execution context: an iter.Pull coroutine that
+// runs only when the engine hands control to it, and hands control back by
+// parking. Exactly one coroutine (or event callback) executes at a time, so
+// simulated code needs no locking and the timeline is deterministic.
 //
-// Control transfers ride one unbuffered channel: because the hand-off is
-// strict — at any instant exactly one side holds the token — a single
-// channel serves both directions, and each transfer is one send/receive
-// rendezvous. Resume events carry the coroutine pointer in the event record
+// A control transfer is one direct coroutine switch: dispatch calls the
+// Pull's next, and the body parks by calling yield. Both switch goroutines
+// in place through the runtime (no scheduler run queue, no channel), so the
+// strict hand-off — at any instant exactly one side runs — is the switch
+// itself. Resume events carry the coroutine pointer in the event record
 // itself and their kind/subject are static strings, so scheduling a resume
 // is allocation-free.
 //
@@ -69,17 +71,19 @@ func (p *CoroutinePanic) Error() string {
 // changing anything simulated code can observe:
 //
 //   - the time-charge fast path (Sleep, InlineCharge) consumes a resume that
-//     is already the engine's next event in place, on the same goroutine,
-//     skipping both rendezvous — Stats().PhysicalSwitches counts only the
-//     hand-offs actually paid, while Stats().LogicalResumes counts them all;
-//   - on a pooled engine (Pool.NewEngine) the hosting goroutine comes from a
-//     warm pool and is re-armed for the next Engine.Go when the body ends.
+//     is already the engine's next event in place, skipping both switches —
+//     Stats().PhysicalSwitches counts only the next calls actually paid,
+//     while Stats().LogicalResumes counts them all;
+//   - on a pooled engine (Pool.NewEngine) the hosting Pull comes from a warm
+//     pool and is re-armed for the next Engine.Go when the body ends, since
+//     a fresh Pull costs 11 allocations.
 type Coroutine struct {
 	eng    *SeqEngine // owning engine
 	name   string
-	hand   chan struct{}   // the hand-off token channel
-	spare  *spare          // pooled goroutine hosting the body, nil when unpooled
-	escape *CoroutinePanic // panic that unwound the body, re-raised by the engine
+	next   func() (struct{}, bool) // engine side of the switch: run until the body parks or ends
+	yield  func(struct{}) bool     // body side of the switch: park until the next dispatch
+	spare  *spare                  // pooled Pull hosting the body, nil when unpooled
+	escape *CoroutinePanic         // panic that unwound the body, re-raised by the engine
 	state  coState
 	killed bool
 
@@ -99,21 +103,21 @@ func (e *SeqEngine) Go(name string, fn func(*Coroutine)) *Coroutine {
 	if e.pool != nil {
 		e.pool.launch(c, fn)
 	} else {
-		c.hand = make(chan struct{})
-		go c.run(fn)
+		c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			c.run(fn)
+		})
 	}
 	return c
 }
 
-// run hosts one coroutine body on the current goroutine: wait for the first
-// dispatch, execute, and complete the final hand-off. It returns rather than
-// exiting, so a pooled goroutine can host the next body.
+// run hosts one coroutine body inside its Pull, from the first dispatch (or
+// kill) to the end. Returning is the final hand-off of an unpooled
+// coroutine; a pooled host yields instead, so it can run the next body.
 func (c *Coroutine) run(fn func(*Coroutine)) {
-	<-c.hand // wait for first dispatch (or kill)
 	c.body(fn)
 	c.state = coDone
 	delete(c.eng.live, c)
-	c.hand <- struct{}{} // final hand-off back to the engine
 }
 
 // body runs fn, absorbing the kill unwind and capturing any real panic into
@@ -134,8 +138,8 @@ func (c *Coroutine) body(fn func(*Coroutine)) {
 }
 
 // retire finishes the engine side of a coroutine's final hand-off: return
-// the hosting goroutine to the pool and re-raise any panic that unwound the
-// body. No-op while the coroutine is merely parked.
+// the hosting Pull to the pool and re-raise any panic that unwound the body.
+// No-op while the coroutine is merely parked.
 func (e *SeqEngine) retire(c *Coroutine) {
 	if c.state != coDone {
 		return
@@ -182,11 +186,11 @@ func (c *Coroutine) Park(reason string) {
 	c.await()
 }
 
-// await is the parked side of the physical hand-off: give the token to the
-// engine, block until the next dispatch, and re-enter the running state.
+// await is the parked side of the physical hand-off: switch back to the
+// engine, stay suspended until the next dispatch, and re-enter the running
+// state.
 func (c *Coroutine) await() {
-	c.hand <- struct{}{}
-	<-c.hand
+	c.yield(struct{}{})
 	if c.killed {
 		panic(killSentinel{})
 	}
@@ -200,11 +204,11 @@ func (c *Coroutine) await() {
 //
 // Fast path: when the wake-up is the engine's next event anyway — no other
 // event fires in [now, now+d], the dominant case for calibrated CPU charges —
-// the clock advances in place and the body keeps executing on the same
-// goroutine. The wake event is still scheduled, ordered, and recycled through
+// the clock advances in place and the body keeps executing without a
+// switch. The wake event is still scheduled, ordered, and recycled through
 // the normal queue, so event sequence numbers, queue statistics, and wheel
-// state are byte-identical to the parked path; only the goroutine rendezvous
-// are skipped.
+// state are byte-identical to the parked path; only the two coroutine
+// switches are skipped.
 func (c *Coroutine) Sleep(d Duration) {
 	e := c.eng
 	if e.cur != c {
@@ -226,8 +230,8 @@ func (c *Coroutine) Sleep(d Duration) {
 // callback, park until it fires". h must be a plain-callback event the
 // caller just scheduled (typically its charge-completion timer). When h is
 // the engine's next event and fires within the current drive window,
-// InlineCharge runs the whole slow-path sequence in place on the calling
-// goroutine: the coroutine observably parks with reason, the callback fires
+// InlineCharge runs the whole slow-path sequence in place inside the calling
+// coroutine: the coroutine observably parks with reason, the callback fires
 // exactly as the engine loop would fire it (with Current() == nil), and if
 // the callback immediately rescheduled this coroutine — the common completion
 // case — the resume is consumed in place too. Reports false, with no state
@@ -268,8 +272,8 @@ func (c *Coroutine) InlineCharge(h Handle, reason string) bool {
 		}
 	}
 	// The callback did not (immediately) resume us: fall back to a physical
-	// park. The dispatch that is blocked on our hand channel picks the
-	// timeline up exactly where the slow path would.
+	// park. The dispatch suspended in our next call picks the timeline up
+	// exactly where the slow path would.
 	c.await()
 	return true
 }
@@ -299,11 +303,11 @@ func (c *Coroutine) UnparkAt(t Time) {
 
 // Destroy unwinds a parked or never-started coroutine immediately, running no
 // more of its body (deferred functions in the body do run, as on Close). The
-// unwind is a pure goroutine rendezvous: no events are scheduled or
+// unwind is a pure coroutine switch: no events are scheduled or
 // cancelled, the clock and the trace are untouched, and no resume statistics
 // move — so destroying an abandoned context mid-run cannot perturb a
 // deterministic timeline. Schedulers use this to reclaim execution contexts
-// (and their pooled goroutines) that will never be dispatched again, instead
+// (and their pooled hosts) that will never be dispatched again, instead
 // of leaving them parked until Engine.Close.
 //
 // Destroy panics on a coroutine with a resume already scheduled: the pending
@@ -326,8 +330,8 @@ func (c *Coroutine) Destroy() {
 	c.kill()
 }
 
-// dispatch transfers control to the coroutine and blocks until it parks or
-// finishes. It runs in the engine goroutine, inside the resume event.
+// dispatch transfers control to the coroutine and returns when it parks or
+// finishes. It runs on the engine side, inside the resume event.
 func (c *Coroutine) dispatch() {
 	c.resumeScheduled = false
 	if c.state == coDone {
@@ -338,21 +342,21 @@ func (c *Coroutine) dispatch() {
 	e.cur = c
 	e.st.LogicalResumes++
 	e.st.PhysicalSwitches++
-	c.hand <- struct{}{}
-	<-c.hand
+	c.next()
 	e.cur = prev
 	e.retire(c)
 }
 
-// kill unwinds a parked or not-yet-started coroutine. Called from
-// Engine.Close, Engine.Reset, and Coroutine.Destroy only.
+// kill unwinds a parked or not-yet-started coroutine: resume it with killed
+// set, so the body panics the sentinel (before fn, if it never started) and
+// finishes. Called from Engine.Close, Engine.Reset, and Coroutine.Destroy
+// only.
 func (c *Coroutine) kill() {
 	if c.state == coDone || c.state == coRunning {
 		return
 	}
 	c.killed = true
-	c.hand <- struct{}{}
-	<-c.hand
+	c.next()
 	c.eng.retire(c)
 }
 

@@ -81,7 +81,7 @@ type Engine interface {
 	// all live coroutines are unwound (outstanding Handles turn inert, the
 	// event free list is dropped so a warm run's Reuses count matches a
 	// cold engine's exactly) — while the metrics registry, hook
-	// registrations, goroutine pool, and allocated queue capacity survive.
+	// registrations, coroutine pool, and allocated queue capacity survive.
 	// Close hooks do NOT fire: the run is being recycled, not finished.
 	// Options are applied as at construction (label and elision default
 	// when not given). Reset on a closed engine panics; resetting an idle
@@ -112,7 +112,7 @@ type Engine interface {
 type EngineStats struct {
 	Events           uint64 // events fired
 	LogicalResumes   uint64 // coroutine resumptions, physical or elided
-	PhysicalSwitches uint64 // resumptions paid with a real goroutine hand-off
+	PhysicalSwitches uint64 // resumptions paid with a real coroutine switch (one iter.Pull next)
 	Scheduled        uint64 // events scheduled
 	Cancels          uint64 // events cancelled (removed without firing)
 	Reuses           uint64 // schedules served from the free list
@@ -144,7 +144,7 @@ type SeqEngine struct {
 	free    []*Event // recycled event records
 	cur     *Coroutine
 	live    map[*Coroutine]struct{}
-	pool    *Pool // goroutine pool backing Engine.Go, nil when unpooled
+	pool    *Pool // coroutine host pool backing Engine.Go, nil when unpooled
 	closed  bool
 	noElide bool
 	label   string
@@ -306,9 +306,9 @@ func (e *SeqEngine) fire(ev *Event) {
 }
 
 // consume consumes ev — a resume for the currently running coroutine c, and
-// the event tl.peek just returned — in place, without a goroutine hand-off.
+// the event tl.peek just returned — in place, without a coroutine switch.
 // The clock advance, record recycling, counters, and hook emissions are
-// exactly those of fire; only the rendezvous (and hence the
+// exactly those of fire; only the switches (and hence the
 // PhysicalSwitches count) disappear, and PostFire fires adjacent to PreFire
 // since the resumed body continues on the spot.
 func (e *SeqEngine) consume(ev *Event, c *Coroutine) {
@@ -414,9 +414,9 @@ func (e *SeqEngine) Close() {
 // inside simulated code — is rejected. The event free list is dropped (a
 // warm run must serve its first allocations fresh, so the fingerprinted
 // Reuses count matches a cold engine's exactly). The metrics registry, hook
-// registrations, live-set map, and goroutine pool survive — re-registering
+// registrations, live-set map, and coroutine pool survive — re-registering
 // metrics would corrupt the registry's dedup names, and the pool's warm
-// goroutines are the point of resetting instead of closing.
+// hosts are the point of resetting instead of closing.
 func (e *SeqEngine) Reset(opts ...Option) {
 	if e.closed {
 		panic("sim: Reset on closed engine")

@@ -1,10 +1,13 @@
 package sim
 
-// Pool recycles coroutine goroutines across engines. A fleet worker sweeping
-// many seeds creates thousands of short-lived coroutines; without a pool each
-// one is a fresh goroutine (spawn cost plus a cold 8 KiB stack that regrows
-// on first deep call). A pooled engine instead re-arms a warm parked
-// goroutine — with its grown stack — for each Engine.Go.
+import "iter"
+
+// Pool recycles coroutine hosts across engines. A fleet worker sweeping many
+// seeds creates thousands of short-lived coroutines; without a pool each one
+// is a fresh iter.Pull, and a fresh Pull costs 11 allocations (~336 B, about
+// 1 µs) plus a goroutine whose stack starts cold. A pooled engine instead
+// re-arms a warm host — one long-lived Pull, parked between bodies with its
+// grown stack — for each Engine.Go, so re-arming allocates nothing.
 //
 // A Pool is confined to one goroutine, the same one that drives the engines
 // created from it: the fleet worker (or test) that owns the pool must create
@@ -12,7 +15,7 @@ package sim
 // pool. Engines of the same pool may be live concurrently only in the trivial
 // sense of existing; they are still driven one at a time by the owner.
 //
-// Pooling is invisible to the simulation: which goroutine hosts a coroutine
+// Pooling is invisible to the simulation: which Pull hosts a coroutine
 // body is not observable from simulated code (the strict hand-off discipline
 // means at most one body runs at a time regardless), so a pooled run's
 // timeline, traces, and fingerprints are byte-identical to an unpooled run.
@@ -25,16 +28,16 @@ type Pool struct {
 	// on fleet scheduling (which worker's pool served which seed), so they
 	// must never feed a determinism fingerprint.
 	Stats struct {
-		Spawned uint64 // fresh goroutines created through the pool
-		Reused  uint64 // Engine.Go calls served by a warm goroutine
+		Spawned uint64 // fresh hosts (one iter.Pull each) created through the pool
+		Reused  uint64 // Engine.Go calls served by a warm host
 	}
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// NewEngine returns a reference sequential engine whose coroutine goroutines
-// are drawn from (and returned to) the pool. A nil *Pool is valid and yields
+// NewEngine returns a reference sequential engine whose coroutine hosts are
+// drawn from (and returned to) the pool. A nil *Pool is valid and yields
 // a plain unpooled engine, so call sites can thread an optional pool without
 // branching.
 func (p *Pool) NewEngine(opts ...Option) Engine {
@@ -44,7 +47,7 @@ func (p *Pool) NewEngine(opts ...Option) Engine {
 	return newSeqEngine(p, buildConfig(opts))
 }
 
-// Idle reports how many warm goroutines are parked in the pool right now.
+// Idle reports how many warm hosts are parked in the pool right now.
 func (p *Pool) Idle() int {
 	if p == nil {
 		return 0
@@ -52,16 +55,16 @@ func (p *Pool) Idle() int {
 	return len(p.free)
 }
 
-// Close retires every idle pooled goroutine. Engines created from the pool
-// must be Closed first — Close only reaps goroutines that have been returned.
-// Close is idempotent; a closed pool cannot create engines.
+// Close stops every idle pooled host. Engines created from the pool must be
+// Closed first — Close only reaps hosts that have been returned. Close is
+// idempotent; a closed pool cannot create engines.
 func (p *Pool) Close() {
 	if p == nil || p.closed {
 		return
 	}
 	p.closed = true
 	for i, s := range p.free {
-		close(s.arm)
+		s.stop()
 		p.free[i] = nil
 	}
 	p.free = nil
@@ -73,18 +76,19 @@ type spawnReq struct {
 	fn func(*Coroutine)
 }
 
-// spare is one warm goroutine parked between coroutine lifetimes. The arm
-// channel is buffered so re-arming never blocks the engine side; the hand
-// channel is the strict hand-off token channel every coroutine hosted on
-// this goroutine reuses.
+// spare is one long-lived iter.Pull that hosts coroutine bodies one after
+// another. Between bodies it is parked in its final yield; req holds the
+// armed body until the next dispatch resumes the host into its next loop
+// iteration.
 type spare struct {
-	arm  chan spawnReq
-	hand chan struct{}
+	next func() (struct{}, bool)
+	stop func()
+	req  spawnReq
 }
 
-// launch binds c to a pooled goroutine — warm if one is idle, freshly
-// spawned otherwise — and arms it with fn. The coroutine stays dormant until
-// its first dispatch, exactly like an unpooled one.
+// launch binds c to a pooled host — warm if one is idle, fresh otherwise —
+// and arms it with fn. The coroutine stays dormant until its first dispatch,
+// exactly like an unpooled one.
 func (p *Pool) launch(c *Coroutine, fn func(*Coroutine)) {
 	var s *spare
 	if n := len(p.free); n > 0 {
@@ -93,31 +97,36 @@ func (p *Pool) launch(c *Coroutine, fn func(*Coroutine)) {
 		p.free = p.free[:n-1]
 		p.Stats.Reused++
 	} else {
-		s = &spare{arm: make(chan spawnReq, 1), hand: make(chan struct{})}
+		s = new(spare)
+		s.next, s.stop = iter.Pull(s.loop)
 		p.Stats.Spawned++
-		go s.loop()
 	}
-	c.hand = s.hand
+	s.req = spawnReq{c, fn}
+	c.next = s.next
 	c.spare = s
-	s.arm <- spawnReq{c, fn}
 }
 
-// loop hosts one coroutine body after another until the pool closes the arm
-// channel. Each run call returns (rather than letting the goroutine exit)
+// loop is the host's sequence: run the armed body, then yield as its final
+// hand-off, until stop makes that yield report false. Each run call returns
 // when its coroutine finishes or is killed.
-func (s *spare) loop() {
-	for req := range s.arm {
+func (s *spare) loop(yield func(struct{}) bool) {
+	for {
+		req := s.req
+		s.req = spawnReq{}
+		req.c.yield = yield
 		req.c.run(req.fn)
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// put returns a finished coroutine's goroutine to the pool for reuse. Called
-// from the engine side only, after the final hand-off, so the goroutine is
-// guaranteed to be back at its arm receive. After Close the goroutine is
-// retired instead of pooled.
+// put returns a finished coroutine's host to the pool for reuse. Called from
+// the engine side only, after the final hand-off, so the host is parked in
+// its final yield. After Close the host is stopped instead of pooled.
 func (p *Pool) put(s *spare) {
 	if p.closed {
-		close(s.arm)
+		s.stop()
 		return
 	}
 	p.free = append(p.free, s)

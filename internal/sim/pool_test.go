@@ -418,3 +418,39 @@ func TestElisionCountsSwitches(t *testing.T) {
 		t.Fatalf("physical switches = %d, want 1 (the initial dispatch)", p1)
 	}
 }
+
+// TestPooledGoSteadyStateAllocs pins what pooling buys: re-arming a warm
+// pooled host for Engine.Go and running the body to completion allocates at
+// most the Coroutine record itself. A pool that fell back to one iter.Pull
+// per coroutine would pay a fresh Pull's allocations on every call, which the
+// unpooled control run shows exceeds that bound.
+func TestPooledGoSteadyStateAllocs(t *testing.T) {
+	goAndRun := func(e Engine) func() {
+		fn := func(c *Coroutine) { c.Sleep(Microsecond) }
+		return func() {
+			e.Go("co", fn).Unpark()
+			e.Run()
+		}
+	}
+
+	pool := NewPool()
+	defer pool.Close()
+	e := pool.NewEngine()
+	defer e.Close()
+	run := goAndRun(e)
+	run() // warm the host, the event free list and the live set
+	if got := testing.AllocsPerRun(100, run); got > 1 {
+		t.Errorf("pooled Go + run allocates %.1f times, want <= 1 (the Coroutine record)", got)
+	}
+	if pool.Stats.Spawned != 1 {
+		t.Errorf("pool spawned %d hosts for sequential coroutines, want 1", pool.Stats.Spawned)
+	}
+
+	plain := NewEngine()
+	defer plain.Close()
+	runPlain := goAndRun(plain)
+	runPlain()
+	if got := testing.AllocsPerRun(100, runPlain); got <= 1 {
+		t.Errorf("unpooled Go + run allocates %.1f times; the probe cannot tell pooled from unpooled", got)
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,35 +39,47 @@ func TestRetiredStatsSinkStaysGone(t *testing.T) {
 	}
 }
 
-// TestSimConcurrencyIsAudited gates unaudited concurrency out of the
-// simulator core: the whole point of the engine contract is one
-// deterministic timeline, so goroutines and channels may appear only in the
-// files whose synchronization discipline is documented and race-tested —
-// the coroutine hand-off and the goroutine pool. A `go` statement or channel
-// make anywhere else in the package is a design violation, not a style nit.
-// (make lint enforces the same rule from outside the package.)
+// TestSimConcurrencyIsAudited gates concurrency out of the simulator core:
+// the whole point of the engine contract is one deterministic timeline, and
+// coroutines switch directly through iter.Pull, so no non-test file in the
+// package may start a goroutine or make a channel — coroutine.go and pool.go
+// included. iter.Pull itself is allowed only in those two files, whose strict
+// hand-off discipline is documented and race-tested. (make lint enforces the
+// same rule from outside the package.)
 func TestSimConcurrencyIsAudited(t *testing.T) {
-	audited := map[string]bool{
-		"coroutine.go": true, // strict hand-off: one runnable goroutine at a time
-		"pool.go":      true, // warm goroutine pool behind the same hand-off
+	pullAllowed := map[string]bool{
+		"coroutine.go": true, // unpooled coroutines: one Pull each
+		"pool.go":      true, // warm hosts: one long-lived Pull each
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fset := token.NewFileSet()
 	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") || audited[f] {
+		if strings.HasSuffix(f, "_test.go") {
 			continue
 		}
-		b, err := os.ReadFile(f)
+		file, err := parser.ParseFile(fset, f, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := string(b)
-		for _, pat := range []string{"go func", "go l.", "go s.", "make(chan"} {
-			if strings.Contains(src, pat) {
-				t.Errorf("%s contains %q: concurrency in internal/sim is restricted to the audited files", f, pat)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement: internal/sim must not start goroutines", fset.Position(n.Pos()))
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "make" && len(n.Args) > 0 {
+					if _, ok := n.Args[0].(*ast.ChanType); ok {
+						t.Errorf("%s: make(chan ...): internal/sim must not use channels", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "iter" && n.Sel.Name == "Pull" && !pullAllowed[f] {
+					t.Errorf("%s: iter.Pull outside coroutine.go and pool.go", fset.Position(n.Pos()))
+				}
 			}
-		}
+			return true
+		})
 	}
 }
